@@ -32,7 +32,8 @@ class Operator:
 
     @classmethod
     def identity(cls, module: WeightModule) -> "Operator":
-        return cls(module, linalg.identity(module.dim, module.field))
+        ident = cls(module, linalg.identity(module.dim, module.field))
+        return ident.with_inverse(ident)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check(other)
@@ -44,9 +45,14 @@ class Operator:
 
     def inverse(self) -> "Operator":
         if self._inv is None:
-            self._inv = Operator(self.module, linalg.invert(self.mat))
-            self._inv._inv = self
+            self.with_inverse(Operator(self.module, linalg.invert(self.mat)))
         return self._inv
+
+    def with_inverse(self, inv: "Operator") -> "Operator":
+        """Record a known inverse (built from structure, not by elimination)."""
+        self._check(inv)
+        self._inv, inv._inv = inv, self
+        return self
 
     def apply(self, v: ModuleVector) -> ModuleVector:
         if v.module is not self.module:
@@ -187,6 +193,7 @@ def phi_diag(a: dict, module: SimpleModule) -> Operator:
             raise UnrepresentableScalar(f"square root of {val} is unavailable")
         roots[i] = root
     out = linalg.zeros(module.dim, module.dim, field)
+    inv = linalg.zeros(module.dim, module.dim, field)
     for idx, mu in enumerate(module.weights):
         t = module.datum.X_to_root(tuple(l - m for l, m in zip(module.lam, mu)))
         scal = field.one
@@ -196,7 +203,8 @@ def phi_diag(a: dict, module: SimpleModule) -> Operator:
                 raise OperatorError("weight is not in the root cone above the lowest weight")
             scal = scal * root ** int(ti)
         out[idx][idx] = scal
-    return Operator(module, out)
+        inv[idx][idx] = scal.inverse()
+    return Operator(module, out).with_inverse(Operator(module, inv))
 
 
 def twist_conjugator(a: dict, module: SimpleModule) -> Operator:
@@ -225,5 +233,8 @@ def rescaled_T(i: int, param, module: SimpleModule) -> Operator:
         a[j] = cdist.c[j].bar() * param.c[j]
     word = satake.relative_generator(i)
     t = lusztig_T_word(word, -1, "prime", module)
+    # T'_{j,-1} and T''_{j,+1} are mutually inverse (Lusztig 37.1.2), so the
+    # inverse composite runs the double-prime operators along the reversed word
+    t_inv = lusztig_T_word(word[::-1], 1, "doubleprime", module)
     w = twist_conjugator(a, module)
-    return w.conj(t)
+    return w.conj(t).with_inverse(w.conj(t_inv))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .modules import ModuleVector, SimpleModule
-from .qsp import CoidealGenerators, Parameter, coideal_generators, chi_shift_coideal
+from .qsp import CoidealGenerators, Parameter, coideal_generators
 from .rootdata import SatakeDatum
 from .scalars import Field, FieldElem
 
@@ -236,10 +236,6 @@ def akin_character(chi: Character, param: Parameter) -> Character:
     satake = param.satake
     zeros = {i: chi.field.zero for i in satake.I_circ}
     return Character(satake, chi.lam, zeros, {}, chi.field)
-
-
-def shifted_coideal(param: Parameter, chi: Character) -> Parameter:
-    return chi_shift_coideal(param, chi)
 
 
 class ScanReport:

@@ -17,8 +17,8 @@ from .characters import (akin_character, dual_spherical_vector,
                          hermitian_scan)
 from .modules import DimensionCapExceeded, build_simple, check_contravariance, \
     check_defining_relations
-from .qsp import Parameter, chi_shift_coideal, coideal_generators, \
-    distinguished_parameter
+from .qsp import Parameter, ParameterError, chi_shift_coideal, \
+    coideal_generators, distinguished_parameter
 from .quasik import quasi_k, wz_character_check
 from .rootdata import (RootDatumError, SatakeDatum, root_datum,
                        satake_from_config, table1_constants)
@@ -97,13 +97,34 @@ def _load_parameter(job: JobSpec, satake: SatakeDatum, field: Field) -> Paramete
 
 
 def _weights(job: JobSpec, satake: SatakeDatum) -> list:
-    if job.weights:
-        return [tuple(int(x) for x in w) for w in job.weights]
     n = satake.datum.n
-    return [tuple(1 if k == 0 else 0 for k in range(n))]
+    if not job.weights:
+        return [tuple(1 if k == 0 else 0 for k in range(n))]
+    out = []
+    for w in job.weights:
+        try:
+            lam = tuple(int(x) for x in w)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"weight {w!r} is not a list of integers") from exc
+        if len(lam) != n:
+            raise InputError(f"weight {list(lam)} has {len(lam)} coordinates; "
+                             f"the rank is {n}")
+        if not satake.datum.is_dominant(lam):
+            raise InputError(f"weight {list(lam)} is not dominant")
+        out.append(lam)
+    return out
 
 
-def run_validate(job: JobSpec) -> dict:
+def _simple_module(job: JobSpec, satake: SatakeDatum, lam: tuple, field: Field,
+                   built: dict):
+    """L(lam), built once per run() and shared by the checks of that run;
+    the caches of the quasi-K and relative braid operators live on it."""
+    if lam not in built:
+        built[lam] = build_simple(satake.datum, lam, field, dim_cap=job.dim_cap)
+    return built[lam]
+
+
+def run_validate(job: JobSpec, built: dict) -> dict:
     satake = _load_satake(job)
     problems = satake.validate()
     return {
@@ -114,12 +135,12 @@ def run_validate(job: JobSpec) -> dict:
     }
 
 
-def run_module(job: JobSpec) -> dict:
+def run_module(job: JobSpec, built: dict) -> dict:
     satake = _load_satake(job)
     field = Field(job.root_order)
     out = []
     for lam in _weights(job, satake):
-        module = build_simple(satake.datum, lam, field, dim_cap=job.dim_cap)
+        module = _simple_module(job, satake, lam, field, built)
         rel = check_defining_relations(module) + check_contravariance(module)
         dump = {
             "lambda": list(lam),
@@ -137,11 +158,11 @@ def run_module(job: JobSpec) -> dict:
             "passed": all(m["relations_ok"] for m in out)}
 
 
-def run_characters(job: JobSpec) -> dict:
+def run_characters(job: JobSpec, built: dict) -> dict:
     satake = _load_satake(job)
     field = Field(job.root_order)
     param = _load_parameter(job, satake, field)
-    weights = job.weights and [tuple(int(x) for x in w) for w in job.weights]
+    weights = _weights(job, satake) if job.weights else None
     report = hermitian_scan(satake, param, field, weights=weights,
                             bound=None if weights else job.weight_box,
                             dim_cap=job.dim_cap)
@@ -151,14 +172,14 @@ def run_characters(job: JobSpec) -> dict:
     return body
 
 
-def run_quasik(job: JobSpec) -> dict:
+def run_quasik(job: JobSpec, built: dict) -> dict:
     satake = _load_satake(job)
     field = Field(job.root_order)
     param = _load_parameter(job, satake, field)
     results = []
     ok_all = True
     for lam in _weights(job, satake):
-        module = build_simple(satake.datum, lam, field, dim_cap=job.dim_cap)
+        module = _simple_module(job, satake, lam, field, built)
         for i in satake.relative_orbit_representatives():
             qk = quasi_k(i, param, module)
             entry = {
@@ -175,14 +196,17 @@ def run_quasik(job: JobSpec) -> dict:
     return {"check": "quasik", "results": results, "passed": ok_all}
 
 
-def run_spherical(job: JobSpec) -> dict:
+def run_spherical(job: JobSpec, built: dict) -> dict:
     satake = _load_satake(job)
     field = Field(job.root_order)
     param = _load_parameter(job, satake, field)
+    if not param.is_balanced():
+        raise InputError("the relative braid operators need a balanced "
+                         "parameter: c_i = c_tau(i) and s = 0")
     results = []
     ok_all = True
     for lam in _weights(job, satake):
-        module = build_simple(satake.datum, lam, field, dim_cap=job.dim_cap)
+        module = _simple_module(job, satake, lam, field, built)
         gens = coideal_generators(param, module)
         for line in find_spherical_lines(module, gens, param):
             entry = {"lambda": list(lam),
@@ -207,7 +231,7 @@ def run_spherical(job: JobSpec) -> dict:
     return {"check": "spherical", "results": results, "passed": ok_all}
 
 
-def run_table1(job: JobSpec) -> dict:
+def run_table1(job: JobSpec, built: dict) -> dict:
     rows = []
     ok_all = True
     for label, n in TABLE1_ROWS:
@@ -220,7 +244,7 @@ def run_table1(job: JobSpec) -> dict:
     return {"check": "table1", "rows": rows, "passed": ok_all}
 
 
-def run_examples(job: JobSpec) -> dict:
+def run_examples(job: JobSpec, built: dict) -> dict:
     which = job.example or "aiii-sl3"
     field = Field(job.root_order)
     if which == "aiii-sl3":
@@ -300,20 +324,21 @@ RUNNERS = {
 def run(job: JobSpec):
     """Run the enabled checks; returns (exit status, report dict)."""
     report = {"checks": []}
+    built = {}
     status = EXIT_PASS
     for check in job.checks:
         if check not in RUNNERS:
             raise InputError(f"unknown check {check!r}; known: {sorted(RUNNERS)}")
     try:
         for check in job.checks:
-            body = RUNNERS[check](job)
+            body = RUNNERS[check](job, built)
             report["checks"].append(body)
             if not body.get("passed", False):
                 status = max(status, EXIT_CHECK_FAILED)
     except InputError as exc:
         report["error"] = {"code": "input", "detail": str(exc)}
         return EXIT_INPUT_ERROR, report
-    except (ScalarParseError, RootDatumError) as exc:
+    except (ScalarParseError, RootDatumError, ParameterError) as exc:
         report["error"] = {"code": "input", "detail": str(exc)}
         return EXIT_INPUT_ERROR, report
     except UnrepresentableScalar as exc:
@@ -387,7 +412,7 @@ def main(argv=None) -> int:
     try:
         weights = None
         if getattr(args, "weight", None):
-            weights = [[int(x) for x in w.split(",")] for w in args.weight]
+            weights = [w.split(",") for w in args.weight]
         job = JobSpec(
             config=getattr(args, "config", None),
             parameters=_parse_kv(getattr(args, "c", None)) or None,

@@ -125,12 +125,6 @@ def _echelonize(rows: list, ncols: int) -> list:
     return pivots
 
 
-def rank(a: list) -> int:
-    if not a:
-        return 0
-    return len(_echelonize([list(row) for row in a], len(a[0])))
-
-
 def _clear_denominators(row) -> list:
     """Scale a FieldElem row into polynomial entries (a common row multiple),
     then strip the common monomial and integer content of the row."""

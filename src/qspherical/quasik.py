@@ -270,15 +270,35 @@ def verify_intertwining(qk: QuasiKOnModule, param: Parameter) -> bool:
     return True
 
 
+def _unipotent_inverse(op: Operator) -> Operator:
+    """Inverse of I + N with N nilpotent: the finite Neumann series of (-N)^k."""
+    module = op.module
+    ident = linalg.identity(module.dim, module.field)
+    neg = linalg.mat_sub(ident, op.mat)
+    total = term = ident
+    for _ in range(module.dim):
+        term = linalg.mat_mul(term, neg)
+        if linalg.is_zero_matrix(term):
+            return Operator(module, total)
+        total = linalg.mat_add(total, term)
+    raise IntertwinerError("the intertwiner is not unipotent")
+
+
 def wz_operator(i: int, param: Parameter, module: SimpleModule) -> Operator:
-    """The relative braid operator on a module: intertwiner after rescaling."""
+    """The relative braid operator on a module: intertwiner after rescaling.
+
+    Its inverse comes with it, from the factors' own inverses: the
+    intertwiner is unipotent and the rescaled braid operator carries its own.
+    """
     cache = getattr(module, "_wz_cache", None)
     if cache is None:
         cache = module._wz_cache = {}
     key = (i, _param_key(param))
     if key not in cache:
-        qk = quasi_k(i, param, module)
-        cache[key] = qk.operator @ rescaled_T(i, param, module)
+        u = quasi_k(i, param, module).operator
+        u.with_inverse(_unipotent_inverse(u))
+        t = rescaled_T(i, param, module)
+        cache[key] = (u @ t).with_inverse(t.inverse() @ u.inverse())
     return cache[key]
 
 

@@ -200,9 +200,6 @@ class RootDatum:
                 raise RootDatumError("word extraction failed to terminate")
         return tuple(out)
 
-    def normal_word(self, word) -> tuple:
-        return self.word_from_matrix(self.word_matrix_root(word))
-
     @staticmethod
     def _invert_int(m) -> tuple:
         n = len(m)

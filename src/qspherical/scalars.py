@@ -121,7 +121,6 @@ class QI:
                 return "-i"
             return f"{self.im}*i"
         im_part = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}*i")
-        sign = "+" if self.im > 0 or im_part.startswith("-") else "+"
         if im_part.startswith("-"):
             return f"({self.re}{im_part})"
         return f"({self.re}+{im_part})"

@@ -188,14 +188,6 @@ def bar_function(t: TorusFunction) -> TorusFunction:
                          t.field)
 
 
-def permute_keys(t: TorusFunction, perm) -> TorusFunction:
-    data = {}
-    for key, val in t.data.items():
-        newkey = tuple(key[perm[k]] for k in range(len(key)))
-        data[newkey] = data.get(newkey, t.field.zero) + val
-    return TorusFunction(t.basis, data, t.field)
-
-
 def tau0_bar_check(coeff: MatrixCoefficient, satake: SatakeDatum) -> bool:
     """Bar symmetry of Cartan values against the longest-element involution.
 

@@ -3,7 +3,7 @@ import pytest
 from qspherical import Field
 from qspherical.braid import (Operator, conjugate_element, generator_operator,
                               lusztig_T, lusztig_T_word, phi_diag, rescaled_T,
-                              twist_operator)
+                              twist_conjugator, twist_operator)
 from qspherical.modules import act_matrix
 import qspherical.linalg as la
 
@@ -30,7 +30,10 @@ def test_trivial_module(modules):
 
 
 def test_inverse_relation(modules):
-    for family, rank, lam in [("A", 1, (1,)), ("A", 1, (3,)), ("A", 2, (1, 1)),
+    # T''_{i,e} and T'_{i,-e} are mutually inverse (Lusztig 37.1.2); rescaled_T
+    # inverts T'_{i,-1} by T''_{i,+1}
+    for family, rank, lam in [("A", 1, (1,)), ("A", 1, (3,)), ("A", 1, (4,)),
+                              ("A", 2, (1, 1)), ("A", 3, (0, 1, 0)),
                               ("B", 2, (1, 0))]:
         m = modules(family, rank, lam)
         for i in range(m.datum.n):
@@ -38,6 +41,7 @@ def test_inverse_relation(modules):
                 tpp = lusztig_T(i, e, "doubleprime", m)
                 tp = lusztig_T(i, -e, "prime", m)
                 assert (tpp @ tp).is_identity()
+                assert (tp @ tpp).is_identity()
 
 
 def test_braid_relations(modules):
@@ -207,3 +211,35 @@ def test_rescaled_operator(modules, ai1, params):
     k_op = Operator(m, m.k_i_matrix(0))
     assert resc.conj(k_op) == Operator(m, m.k_i_matrix(0, -1))
     assert resc.weight_shifts() == t_plain.weight_shifts()
+
+
+def _forbid_elimination(monkeypatch):
+    def fail(_):
+        raise AssertionError("linalg.invert called")
+    monkeypatch.setattr(la, "invert", fail)
+
+
+def test_phi_diag_inverse_is_diagonal(modules, monkeypatch):
+    m = modules("A", 2, (1, 1))
+    a = {0: F.q ** 2, 1: F.q ** -4}
+    expected = la.invert(phi_diag(a, m).mat)
+    _forbid_elimination(monkeypatch)
+    d = phi_diag(a, m)
+    assert la.mat_eq(d.inverse().mat, expected)
+    assert d.inverse().inverse() is d
+    assert twist_conjugator(a, m) == d.inverse()
+    x = generator_operator(m, "E", 0)
+    assert d.conj(x) == Operator(m, la.mat_scale(x.mat, F.q.inverse()))
+
+
+def test_rescaled_operator_inverse_without_elimination(modules, ai1, aiii_sl3,
+                                                       params, monkeypatch):
+    cases = [(modules("A", 1, (4,)), "ai1_dist"),
+             (modules("A", 1, (3,)), "ai1_uniform"),
+             (modules("A", 2, (1, 1)), "aiii_sl3_uniform")]
+    expected = [la.invert(rescaled_T(0, params[key], m).mat) for m, key in cases]
+    _forbid_elimination(monkeypatch)
+    for (m, key), inv in zip(cases, expected):
+        resc = rescaled_T(0, params[key], m)
+        assert la.mat_eq(resc.inverse().mat, inv)
+        assert (resc @ resc.inverse()).is_identity()

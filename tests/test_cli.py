@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import qspherical.cli as cli
+import qspherical.quasik as quasik
 from qspherical.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_PASS,
                             EXIT_RESOURCE_CAP, JobSpec, main, run)
 
@@ -130,3 +132,49 @@ def test_main_entry(sl3_config, tmp_path, capsys):
 def test_unknown_example():
     with pytest.raises(SystemExit):
         main(["examples", "nonsense"])
+
+
+def test_invariance_builds_each_module_once(ai1_config, monkeypatch):
+    built, solved = [], []
+    build, solve = cli.build_simple, quasik._solve_intertwiner
+
+    def counting_build(datum, lam, *args, **kwargs):
+        built.append(tuple(lam))
+        return build(datum, lam, *args, **kwargs)
+
+    def counting_solve(i, param, module):
+        solved.append((module.lam, i))
+        return solve(i, param, module)
+
+    monkeypatch.setattr(cli, "build_simple", counting_build)
+    monkeypatch.setattr(quasik, "_solve_intertwiner", counting_solve)
+    job = JobSpec(config=ai1_config, checks=("quasik", "spherical"),
+                  weights=[[2], [3]])
+    status, report = run(job)
+    assert status == EXIT_PASS
+    assert sorted(built) == [(2,), (3,)]
+    assert sorted(solved) == [((2,), 0), ((3,), 0)]
+    # a second run builds afresh: modules are not kept across runs
+    run(job)
+    assert len(built) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["module", "--weight", "-1"],           # not dominant
+    ["module", "--weight", "x"],            # not an integer
+    ["module", "--weight", "1,0"],          # longer than the rank
+    ["characters", "--weight", "1,0"],
+    ["invariance", "--weight", ""],         # no coordinates
+], ids=["negative", "non-integer", "too-long", "characters-too-long", "empty"])
+def test_bad_weight_is_input_error(ai1_config, argv, capsys):
+    code = main(argv[:1] + ["--config", ai1_config] + argv[1:])
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "input"
+
+
+def test_unbalanced_parameter_is_input_error(sl3_config, capsys):
+    code = main(["invariance", "--config", sl3_config, "--c", "1=1",
+                 "--c", "2=q", "--weight", "1,0"])
+    assert code == EXIT_INPUT_ERROR
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["code"] == "input"

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -5,11 +7,13 @@ import pytest
 from qspherical import Field
 from qspherical.braid import Operator, rescaled_T
 from qspherical.characters import find_spherical_lines
-from qspherical.modules import act_matrix
-from qspherical.qsp import Parameter, ParameterError, coideal_generators
-from qspherical.quasik import (IntertwinerError, quasi_k, verify_intertwining,
-                               wz_character_check, wz_on_vector, wz_operator,
-                               wz_precompose)
+from qspherical.modules import act_matrix, build_simple
+from qspherical.qsp import (Parameter, ParameterError, coideal_generators,
+                            distinguished_parameter)
+from qspherical.quasik import (IntertwinerError, _unipotent_inverse, quasi_k,
+                               verify_intertwining, wz_character_check,
+                               wz_on_vector, wz_operator, wz_precompose)
+from qspherical.rootdata import satake_from_config
 import qspherical.linalg as la
 
 F = Field(2)
@@ -193,3 +197,38 @@ def test_rejects_nonstandard_rank_one(modules, ai1, field):
     par = Parameter(ai1, {0: -field.q.inverse()}, {0: field.one})
     with pytest.raises(ParameterError):
         quasi_k(0, par, m)
+
+
+CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.json"))
+
+
+def _assert_structural_inverses(m, par):
+    for i in par.satake.relative_orbit_representatives():
+        u = quasi_k(i, par, m).operator
+        assert la.mat_eq(_unipotent_inverse(u).mat, la.invert(u.mat))
+        w = wz_operator(i, par, m)
+        assert la.mat_eq(w.inverse().mat, la.invert(w.mat))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_structural_inverses_match_elimination(path):
+    # each config at the CLI's default weight and parameter
+    satake = satake_from_config(json.loads(path.read_text()))
+    lam = tuple(int(k == 0) for k in range(satake.datum.n))
+    _assert_structural_inverses(build_simple(satake.datum, lam, F),
+                                distinguished_parameter(satake, F))
+
+
+def test_structural_inverses_on_larger_modules(modules, ai1, aiii_sl3,
+                                               aiii3_sl4, params):
+    for family, rank, lam, key in [("A", 1, (4,), "ai1_dist"),
+                                   ("A", 2, (1, 1), "aiii_sl3_uniform"),
+                                   ("A", 3, (0, 1, 0), "aiii3_sl4")]:
+        _assert_structural_inverses(modules(family, rank, lam), params[key])
+
+
+def test_unipotent_inverse_rejects_non_unipotent(modules):
+    m = modules("A", 1, (1,))
+    with pytest.raises(IntertwinerError):
+        _unipotent_inverse(Operator(m, la.mat_scale(la.identity(m.dim, F),
+                                                    F.rational(2))))
