@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from .characters import (akin_character, dual_spherical_vector,
                          find_dual_spherical, find_spherical_lines,
@@ -287,18 +286,13 @@ def _example_sl4(field: Field) -> dict:
     lines = find_spherical_lines(module, gens, param)
     results = []
     ok_all = bool(lines)
-    basis = satake.y_theta_basis()
-    from .rootdata import _solve_rational
     for line in lines:
         table = restrict_torus(
             MatrixCoefficient(module, line.vector.bar(), line.vector), satake)
         ok = True
         for n in range(-3, 4):
             for m in range(-3, 4):
-                h = (m, n, m)
-                coords = _solve_rational(
-                    [[Fraction(b[r]) for b in basis] for r in range(3)],
-                    [Fraction(x) for x in h])
+                coords = satake.y_theta_coords((m, n, m))
                 expected = q ** n + q ** (2 * m - n) + q ** (n - 2 * m) + q ** (-n)
                 ok = ok and table.evaluate_coords(coords) == expected
         inv, _ = is_weyl_invariant(table, satake)
@@ -426,7 +420,8 @@ def main(argv=None) -> int:
             example=getattr(args, "which", None),
         )
     except InputError as exc:
-        print(json.dumps({"error": {"code": "input", "detail": str(exc)}}))
+        _emit({"checks": [], "error": {"code": "input", "detail": str(exc)}},
+              args.out)
         return EXIT_INPUT_ERROR
     status, report = run(job)
     _emit(report, job.out)

@@ -1,15 +1,24 @@
 """Exact dense linear algebra over the coefficient field.
 
 Matrices are lists of lists of FieldElem.  Pivoting is always by input order
-(first nonzero), never by magnitude, so every result is deterministic.  The
-kernel computation clears denominators row by row and eliminates fraction-free
-over the polynomial ring, which keeps coefficient growth determinant-sized
-instead of letting rational-function gcds blow up.
+(first nonzero), never by magnitude, so every result is deterministic.
+
+There is one elimination kernel, `_echelonize`.  Each row is first cleared
+of denominators to polynomials over the Gaussian integers Z[i][v], then rows
+are eliminated fraction-free by cross multiplication, with the content
+stripped after every update; coefficient growth stays determinant-sized
+instead of letting rational-function gcds blow up.  `nullspace` reads a basis
+off the echelon rows by back substitution; `solve` and `invert` are kernel
+problems: column j of the answer to A X = B is the kernel vector of [A | -B]
+whose free column n + j is one.  A modular evaluation screen runs before
+`nullspace` eliminates; it only certifies full rank, never decides equality.
 """
 
 from __future__ import annotations
 
-from .scalars import Field, FieldElem
+import math
+
+from .scalars import QI, Field, FieldElem
 from .scalars import _pmul, _psub_poly, _QI_ONE
 
 
@@ -87,26 +96,72 @@ def bar_matrix(a: list) -> list:
 
 
 def invert(a: list) -> list:
-    """Gauss-Jordan inverse; raises ValueError when singular."""
+    """Inverse of a square matrix; raises ValueError when singular."""
     n = len(a)
+    cols = _solve_columns(a, identity(n, a[0][0].field))
+    if cols is None:
+        raise ValueError("matrix is singular")
+    return transpose(cols)
+
+
+def solve(a: list, rhs: list, field: Field) -> list | None:
+    """The solution of A x = rhs, or None when the system is inconsistent.
+
+    The system may be overdetermined; raises ValueError when the solution is
+    not unique.
+    """
+    if not a:
+        return []
+    cols = _solve_columns(a, [[b] for b in rhs])
+    return None if cols is None else cols[0]
+
+
+def _solve_columns(a: list, b: list) -> list | None:
+    """Columns of the unique X with A X = B, or None when inconsistent.
+
+    Column j of X is read off the kernel vector of [A | -B] whose free
+    column n + j is one: a pivot in a right-hand column means inconsistency,
+    a free column of A means the solution is not unique.
+    """
+    n = len(a[0])
     field = a[0][0].field
-    work = [list(row) + list(idrow) for row, idrow in zip(a, identity(n, field))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    rows = [_clear_denominators(list(ra) + [-x for x in rb])
+            for ra, rb in zip(a, b)]
+    rows = [row for row in rows if any(row)]
+    ncols = n + len(b[0])
+    pivots = _echelonize(rows, ncols)
+    if pivots and pivots[-1] >= n:
+        return None
+    if len(pivots) < n:
+        raise ValueError("the solution is not unique")
+    return [_kernel_vector(rows, pivots, free, ncols, field)[:n]
+            for free in range(n, ncols)]
+
+
+def nullspace(a: list, ncols: int, field: Field) -> list:
+    """Deterministic basis of the right kernel, free variables set to one.
+
+    A modular evaluation certifies full-rank systems first, so empty kernels
+    cost almost nothing.
+    """
+    rows = [_clear_denominators(row) for row in a]
+    rows = [row for row in rows if any(row)]
+    if _modular_rank(rows, ncols) == ncols:
+        return []
+    pivots = _echelonize(rows, ncols)
+    pivot_set = set(pivots)
+    return [_kernel_vector(rows, pivots, free, ncols, field)
+            for free in range(ncols) if free not in pivot_set]
 
 
 def _echelonize(rows: list, ncols: int) -> list:
-    """In-place row echelon; returns the pivot column of each surviving row."""
+    """Fraction-free forward elimination of polynomial rows, in place.
+
+    Pivots are the first nonzero entries in input order.  Each row below a
+    pivot with a nonzero entry in its column is replaced by the cross
+    multiple pivot * row - entry * pivot_row and stripped of its content.
+    Returns the pivot column of each leading row.
+    """
     pivots = []
     r = 0
     for col in range(ncols):
@@ -114,70 +169,70 @@ def _echelonize(rows: list, ncols: int) -> list:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col]:
-                f = rows[k][col]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        prow = rows[r]
+        pivot_val = prow[col]
+        for k in range(r + 1, len(rows)):
+            row = rows[k]
+            rk_col = row[col]
+            if not rk_col:
+                continue
+            newrow = []
+            for j in range(ncols):
+                term = _pmul(pivot_val, row[j]) if row[j] else ()
+                if prow[j]:
+                    term = _psub_poly(term, _pmul(rk_col, prow[j]))
+                newrow.append(term)
+            rows[k] = _strip_row_content(newrow)
         pivots.append(col)
         r += 1
     return pivots
 
 
+def _kernel_vector(rows: list, pivots: list, free: int, ncols: int,
+                   field: Field) -> list:
+    """Back substitution through echelon rows: the kernel vector whose free
+    column `free` is one and whose other free columns are zero."""
+    vec = [field.zero] * ncols
+    vec[free] = field.one
+    for k in range(len(pivots) - 1, -1, -1):
+        pc = pivots[k]
+        acc = field.zero
+        row = rows[k]
+        for j in range(pc + 1, ncols):
+            if row[j] and vec[j]:
+                acc = acc + FieldElem(field, row[j], (_QI_ONE,)) * vec[j]
+        if acc:
+            vec[pc] = -acc / FieldElem(field, row[pc], (_QI_ONE,))
+    return vec
+
+
 def _clear_denominators(row) -> list:
-    """Scale a FieldElem row into polynomial entries (a common row multiple),
-    then strip the common monomial and integer content of the row."""
+    """Scale a FieldElem row to polynomials over the Gaussian integers by one
+    common multiple (the other entries' denominators times the lcm of the
+    rational coefficient denominators), then strip its content."""
     dens = []
     for x in row:
         if x.num and x.den != (_QI_ONE,) and x.den not in dens:
             dens.append(x.den)
     out = []
+    lcm = 1
     for x in row:
-        if not x.num:
-            out.append(())
-            continue
         poly = x.num
-        for d in dens:
-            if d != x.den:
-                poly = _pmul(poly, d)
-        out.append(poly)
-    shift = None
-    for poly in out:
         if poly:
-            val = next(k for k, c in enumerate(poly) if c)
-            shift = val if shift is None else min(shift, val)
-    if shift:
-        out = [poly[shift:] if poly else () for poly in out]
-    content = 0
-    all_int = True
-    for poly in out:
-        for c in poly:
-            for part in (c.re, c.im):
-                if part:
-                    if type(part) is not int:
-                        all_int = False
-                        break
-                    content = _int_gcd(content, abs(part))
-            if not all_int or content == 1:
-                break
-        if not all_int or content == 1:
-            break
-    if all_int and content > 1:
-        from .scalars import QI
-        out = [tuple(QI(c.re // content, c.im // content) for c in poly)
-               if poly else () for poly in out]
-    return out
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+            for d in dens:
+                if d != x.den:
+                    poly = _pmul(poly, d)
+            for c in poly:
+                lcm = math.lcm(lcm, c.re.denominator, c.im.denominator)
+        out.append(poly)
+    out = [tuple(QI(int(c.re * lcm), int(c.im * lcm)) for c in poly)
+           for poly in out]
+    return _strip_row_content(out)
 
 
 def _strip_row_content(row) -> list:
-    """Divide a polynomial row by its common v-power and integer content."""
+    """Divide a Gaussian-integer polynomial row by its common v-power and
+    integer content."""
     shift = None
     for poly in row:
         if poly:
@@ -186,25 +241,16 @@ def _strip_row_content(row) -> list:
             if shift == 0:
                 break
     if shift:
-        row = [poly[shift:] if poly else () for poly in row]
+        row = [poly[shift:] for poly in row]
     content = 0
-    all_int = True
     for poly in row:
         for c in poly:
-            for part in (c.re, c.im):
-                if part:
-                    if type(part) is not int:
-                        all_int = False
-                        break
-                    content = _int_gcd(content, abs(part))
-            if not all_int or content == 1:
-                break
-        if not all_int or content == 1:
-            break
-    if all_int and content > 1:
-        from .scalars import QI
+            content = math.gcd(content, c.re, c.im)
+            if content == 1:
+                return list(row)
+    if content > 1:
         row = [tuple(QI(c.re // content, c.im // content) for c in poly)
-               if poly else () for poly in row]
+               for poly in row]
     return list(row)
 
 
@@ -224,8 +270,9 @@ _SCREEN_ROOT = _imaginary_unit_mod()
 
 
 def _modular_rank(rows, ncols: int) -> int | None:
-    """Rank of the polynomial rows at a fixed modular evaluation point, or
-    None if the point degenerates.  A full modular rank certifies full rank."""
+    """Rank of Gaussian-integer polynomial rows at a fixed point mod p, or
+    None if no square root of -1 was found.  Evaluation is a ring map, so a
+    full modular rank certifies full rank; a lower one decides nothing."""
     p = _SCREEN_PRIME
     s = _SCREEN_ROOT
     if s is None:
@@ -238,10 +285,7 @@ def _modular_rank(rows, ncols: int) -> int | None:
             acc = 0
             power = 1
             for c in poly:
-                re, im = c.re, c.im
-                if type(re) is not int or type(im) is not int:
-                    return None
-                acc = (acc + (re + im * s) * power) % p
+                acc = (acc + (c.re + c.im * s) * power) % p
                 power = power * t % p
             mrow.append(acc)
         work.append(mrow)
@@ -261,82 +305,6 @@ def _modular_rank(rows, ncols: int) -> int | None:
         rank_count += 1
         r += 1
     return rank_count
-
-
-def nullspace(a: list, ncols: int, field: Field) -> list:
-    """Deterministic basis of the right kernel, free variables set to one.
-
-    Rows are cleared to polynomial entries; elimination is by exact cross
-    multiplication touching only rows with a nonzero pivot-column entry, with
-    row content stripped after every update.  A modular evaluation certifies
-    full-rank systems early, so empty kernels cost almost nothing.
-    """
-    rows = [_clear_denominators(row) for row in a]
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return [[field.one if t == k else field.zero for t in range(ncols)]
-                for k in range(ncols)]
-    mrank = _modular_rank(rows, ncols)
-    if mrank == ncols:
-        return []
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot_val = rows[r][col]
-        for k in range(r + 1, len(rows)):
-            rk_col = rows[k][col]
-            if not rk_col:
-                continue
-            newrow = []
-            for j in range(ncols):
-                term = _pmul(pivot_val, rows[k][j]) if rows[k][j] else ()
-                if rows[r][j]:
-                    term = _psub_poly(term, _pmul(rk_col, rows[r][j]))
-                newrow.append(term)
-            rows[k] = _strip_row_content(newrow)
-        pivots.append(col)
-        r += 1
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [field.zero] * ncols
-        vec[free] = field.one
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            acc = field.zero
-            row = rows[k]
-            for j in range(pc + 1, ncols):
-                if row[j] and vec[j]:
-                    acc = acc + FieldElem(field, row[j], (_QI_ONE,)) * vec[j]
-            if acc:
-                vec[pc] = -acc / FieldElem(field, row[pc], (_QI_ONE,))
-        basis.append(vec)
-    return basis
-
-
-def solve(a: list, rhs: list, field: Field) -> list | None:
-    """One solution of A x = rhs, or None when inconsistent.
-
-    The system may be overdetermined; free variables are set to zero.
-    """
-    if not a:
-        return []
-    ncols = len(a[0])
-    rows = [list(row) + [b] for row, b in zip(a, rhs)]
-    pivots = _echelonize(rows, ncols)
-    for r in range(len(pivots), len(rows)):
-        if rows[r][ncols]:
-            return None
-    x = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return x
 
 
 def symmetric_nondegenerate_subset(g: list) -> list:

@@ -151,18 +151,14 @@ def _solve_intertwiner(i: int, param: Parameter, module: SimpleModule) -> Operat
         if any(rhs):
             raise IntertwinerError("inconsistent intertwiner system with no unknowns")
         return Operator.identity(module)
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    pivots = linalg._echelonize(aug, nunk)
-    for r in range(len(pivots), len(aug)):
-        if aug[r][nunk]:
-            raise IntertwinerError(
-                f"intertwiner system is inconsistent at node {i}; "
-                "the rank-one restriction is not uniform")
-    if len(pivots) < nunk:
-        raise IntertwinerError("intertwiner system is underdetermined")
-    x = [field.zero] * nunk
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][nunk]
+    try:
+        x = linalg.solve(rows, rhs, field)
+    except ValueError as exc:
+        raise IntertwinerError("intertwiner system is underdetermined") from exc
+    if x is None:
+        raise IntertwinerError(
+            f"intertwiner system is inconsistent at node {i}; "
+            "the rank-one restriction is not uniform")
     mat = linalg.identity(dim, field)
     for coeff, w in zip(x, words):
         if coeff:

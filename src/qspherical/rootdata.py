@@ -11,7 +11,9 @@ word is reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from fractions import Fraction
 
 
@@ -30,12 +32,6 @@ def _mat_mul_int(a, b):
 
 def _identity_int(n):
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class RootDatum:
@@ -59,10 +55,7 @@ class RootDatum:
                     raise RootDatumError("DC must be symmetric")
         if any(x < 1 for x in d):
             raise RootDatumError("symmetrizer entries must be positive")
-        g = 0
-        for x in d:
-            g = _gcd(g, x)
-        if g != 1:
+        if math.gcd(*d) != 1:
             raise RootDatumError("gcd of the symmetrizer must be 1")
         self.cartan = c
         self.d = d
@@ -184,37 +177,31 @@ class RootDatum:
             m = _mat_mul_int(m, self.reflection_matrix_root(i))
         return self.word_from_matrix(m)
 
+    @functools.cached_property
+    def _two_rho(self) -> tuple:
+        """Sum of the positive roots, in root coordinates."""
+        roots = self.positive_roots()
+        return tuple(sum(a[k] for a in roots) for k in range(self.n))
+
+    def left_descents(self, m) -> tuple:
+        """Left descents of the Weyl element with root-coordinate matrix m:
+        the i with w^-1 alpha_i < 0, that is <w(2 rho), alpha_i^vee> < 0."""
+        w_rho = [_dot(row, self._two_rho) for row in m]
+        return tuple(i for i in range(self.n) if _dot(self.cartan[i], w_rho) < 0)
+
     def word_from_matrix(self, m) -> tuple:
         """Lexicographically least reduced word, by peeling least left descents."""
         out = []
         ident = _identity_int(self.n)
         guard = len(self.positive_roots()) + 1
         while m != ident:
-            minv = self._invert_int(m)
-            i = next(j for j in range(self.n)
-                     if not self._positive_vec(tuple(minv[r][j] for r in range(self.n))))
+            i = self.left_descents(m)[0]
             out.append(i)
             m = _mat_mul_int(self.reflection_matrix_root(i), m)
             guard -= 1
             if guard < 0:
                 raise RootDatumError("word extraction failed to terminate")
         return tuple(out)
-
-    @staticmethod
-    def _invert_int(m) -> tuple:
-        n = len(m)
-        work = [[Fraction(m[r][c]) for c in range(n)]
-                + [Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if work[r][col])
-            work[col], work[piv] = work[piv], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return tuple(tuple(int(work[r][n + c]) for c in range(n)) for r in range(n))
 
     # -- standard vectors -------------------------------------------------------
 
@@ -377,8 +364,8 @@ class SatakeDatum:
             raise RootDatumError(f"index {i} is not a white node")
         sub = set(self.black) | {i, self.tau[i]}
         w_j = self.datum.word_matrix_root(self.datum.longest_word(sub))
-        w_b = self.datum.word_matrix_root(self.w_black)
-        m = _mat_mul_int(w_j, self.datum._invert_int(w_b))
+        w_b_inv = self.datum.word_matrix_root(tuple(reversed(self.w_black)))
+        m = _mat_mul_int(w_j, w_b_inv)
         return self.datum.word_from_matrix(m)
 
     def relative_orbit_representatives(self) -> tuple:
@@ -402,15 +389,21 @@ class SatakeDatum:
             out[i] = next(k for k, v in enumerate(neg) if v == 1)
         return tuple(out)
 
+    def y_theta_coords(self, h) -> list | None:
+        """Rational coordinates of a coroot vector in the Y_Theta basis, or
+        None when it lies outside their span."""
+        basis = self.y_theta_basis()
+        return _solve_rational([[Fraction(b[r]) for b in basis]
+                                for r in range(self.datum.n)],
+                               [Fraction(v) for v in h])
+
     def relative_weyl_matrix_on_y_theta(self, i: int) -> tuple:
         """Matrix of the relative reflection on the fixed Y_Theta basis."""
         basis = self.y_theta_basis()
         word = self.relative_generator(i)
-        rect = [[Fraction(b[r]) for b in basis] for r in range(self.datum.n)]
         cols = []
         for b in basis:
-            img = self.datum.act_word_Y(word, b)
-            sol = _solve_rational(rect, [Fraction(v) for v in img])
+            sol = self.y_theta_coords(self.datum.act_word_Y(word, b))
             if sol is None or any(s.denominator != 1 for s in sol):
                 raise RootDatumError("relative reflection does not preserve Y_Theta")
             cols.append([int(s) for s in sol])

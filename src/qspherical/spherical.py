@@ -97,8 +97,20 @@ class TorusFunction:
 
 def restrict_torus(coeff: MatrixCoefficient, satake: SatakeDatum) -> TorusFunction:
     """Restriction of the coefficient to the quantum torus."""
+    return _restrict(coeff, satake.y_theta_basis())
+
+
+def weight_function(coeff: MatrixCoefficient) -> TorusFunction:
+    """Full Cartan restriction: keys are entire weights."""
+    n = coeff.module.datum.n
+    return _restrict(coeff, tuple(tuple(1 if t == k else 0 for t in range(n))
+                                  for k in range(n)))
+
+
+def _restrict(coeff: MatrixCoefficient, basis) -> TorusFunction:
+    """Pair the coefficient block by block; each weight block contributes
+    under the key of its weight's pairings with the basis."""
     module = coeff.module
-    basis = satake.y_theta_basis()
     data = {}
     for w, idxs in module.blocks.items():
         pairing = module.field.zero
@@ -115,28 +127,6 @@ def restrict_torus(coeff: MatrixCoefficient, satake: SatakeDatum) -> TorusFuncti
             continue
         key = tuple(sum(bk * wk for bk, wk in zip(bvec, w)) for bvec in basis)
         data[key] = data.get(key, module.field.zero) + pairing
-    return TorusFunction(basis, data, module.field)
-
-
-def weight_function(coeff: MatrixCoefficient) -> TorusFunction:
-    """Full Cartan restriction: keys are entire weights."""
-    module = coeff.module
-    n = module.datum.n
-    basis = tuple(tuple(1 if t == k else 0 for t in range(n)) for k in range(n))
-    data = {}
-    for w, idxs in module.blocks.items():
-        pairing = module.field.zero
-        gb = module.grams[w]
-        for a, ia in enumerate(idxs):
-            fa = coeff.f.coeffs[ia]
-            if not fa:
-                continue
-            for b, ib in enumerate(idxs):
-                vb = coeff.v.coeffs[ib]
-                if vb and gb[a][b]:
-                    pairing = pairing + fa * gb[a][b] * vb
-        if pairing:
-            data[w] = data.get(w, module.field.zero) + pairing
     return TorusFunction(basis, data, module.field)
 
 

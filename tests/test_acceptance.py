@@ -6,7 +6,6 @@ runtime budgets are asserted alongside the mathematical content.
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -20,7 +19,7 @@ from qspherical.modules import (act_matrix, check_contravariance,
 from qspherical.qsp import Parameter, chi_shift_coideal, coideal_generators
 from qspherical.quasik import (quasi_k, wz_character_check, wz_operator,
                                _uniform_normal_form)
-from qspherical.rootdata import _solve_rational, table1_constants
+from qspherical.rootdata import table1_constants
 from qspherical.scalars import parse_scalar
 from qspherical.spherical import (MatrixCoefficient, antipode_torus,
                                   appendix_double_sign_check, is_weyl_invariant,
@@ -113,15 +112,12 @@ def test_criterion_02_sl4_example(field, aiii3_sl4, params, modules):
     stated = (wedge(1, 2) - wedge(1, 3) + wedge(2, 4).scale(q.inverse())
               - wedge(3, 4).scale(q.inverse()))
     assert any(embed(ln.vector).proportional_to(stated) for ln in lines)
-    basis = aiii3_sl4.y_theta_basis()
     for line in lines:
         table = restrict_torus(
             MatrixCoefficient(m6, line.vector.bar(), line.vector), aiii3_sl4)
         for n in range(-3, 4):
             for mm in range(-3, 4):
-                coords = _solve_rational(
-                    [[Fraction(b[r]) for b in basis] for r in range(3)],
-                    [Fraction(x) for x in (mm, n, mm)])
+                coords = aiii3_sl4.y_theta_coords((mm, n, mm))
                 assert table.evaluate_coords(coords) == \
                     q ** n + q ** (2 * mm - n) + q ** (n - 2 * mm) + q ** (-n)
         assert is_weyl_invariant(table, aiii3_sl4)[0]

@@ -88,11 +88,7 @@ def test_word_independence_randomized(modules):
         mat = datum.word_matrix_root(datum.w0_word())
         word = []
         while mat != ident:
-            inv = datum._invert_int(mat)
-            descents = [j for j in range(datum.n)
-                        if not datum._positive_vec(tuple(inv[r][j]
-                                                         for r in range(datum.n)))]
-            i = rng.choice(descents)
+            i = rng.choice(datum.left_descents(mat))
             word.append(i)
             mat = tuple(tuple(sum(datum.reflection_matrix_root(i)[r][k] * mat[k][c]
                                   for k in range(datum.n))

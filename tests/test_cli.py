@@ -178,3 +178,15 @@ def test_unbalanced_parameter_is_input_error(sl3_config, capsys):
     assert code == EXIT_INPUT_ERROR
     report = json.loads(capsys.readouterr().out)
     assert report["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize("flag", ["--c", "--s"])
+def test_malformed_parameter_flag_honours_out(ai1_config, tmp_path, capsys, flag):
+    out = tmp_path / "report.json"
+    code = main(["characters", "--config", ai1_config, flag, "1",
+                 "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert report["checks"] == []
+    assert report["error"]["code"] == "input"

@@ -1,0 +1,155 @@
+"""The elimination kernel against an independent oracle: sympy DomainMatrix
+over QQ_I(v), on small random matrices over Q(i)(v)."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
+
+import qspherical.linalg as la
+from qspherical.scalars import QI, Field
+
+F = Field(2)
+V = sympy.Symbol("v")
+K = QQ_I.frac_field(V)
+
+
+def _laurent(coeffs, low):
+    """sum of coeffs[k] v^(low + k), coefficients Gaussian rationals."""
+    out = F.zero
+    for k, (re, im) in enumerate(coeffs):
+        out = out + F.from_qi(QI(Fraction(re), Fraction(im))) * F.v_power(low + k)
+    return out
+
+
+# Laurent polynomials with Fraction Gaussian coefficients, and one quotient
+# with a non-monomial denominator, so rows need both polynomial and rational
+# denominators cleared.
+POOL = [
+    F.zero, F.zero, F.one, -F.one, F.v_power(1), F.v_power(-2),
+    _laurent([(Fraction(1, 2), 0), (0, 1)], 0),
+    _laurent([(1, 0), (0, 0), (Fraction(-1, 3), 0)], -1),
+    _laurent([(0, Fraction(2, 3))], 1),
+    F.one / (F.one - F.v_power(1)),
+]
+
+
+def _sym(x):
+    def poly(p):
+        return sum((sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * V ** k
+                   for k, c in enumerate(p))
+    return K.from_sympy(poly(x.num) / poly(x.den))
+
+
+def _dm(a, ncols):
+    return DomainMatrix([[_sym(x) for x in row] for row in a], (len(a), ncols), K)
+
+
+def _same(ours, theirs):
+    # QQ_I(v) fractions are not stored canonically, so compare differences
+    return all(not _sym(x) - y for x, y in zip(ours, theirs))
+
+
+def matrices(max_rows=4, max_cols=5):
+    """Random matrices over the pool, with rows sometimes made dependent."""
+    @st.composite
+    def build(draw):
+        nrows = draw(st.integers(1, max_rows))
+        ncols = draw(st.integers(1, max_cols))
+        pick = st.integers(0, len(POOL) - 1)
+        rows = [[POOL[draw(pick)] for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and draw(st.booleans()):
+            # a combination of two rows, so singular systems are common
+            s, t = POOL[draw(pick)], POOL[draw(pick)]
+            rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[1 % (nrows - 1)])]
+        return rows, ncols
+    return build()
+
+
+def _rref_kernel(a, ncols):
+    """Kernel basis read off sympy's reduced row echelon form: for each free
+    column the vector with one there, zero at other free columns."""
+    rref, pivots = _dm(a, ncols).rref()
+    rows = rref.to_list()
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [K.zero] * ncols
+        vec[free] = K.one
+        for k, pc in enumerate(pivots):
+            vec[pc] = -rows[k][free]
+        basis.append(vec)
+    return basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices())
+def test_nullspace_matches_rref_kernel(case):
+    a, ncols = case
+    ours = la.nullspace(a, ncols, F)
+    theirs = _rref_kernel(a, ncols)
+    assert len(ours) == len(theirs) == ncols - _dm(a, ncols).rank()
+    for x, y in zip(ours, theirs):
+        assert _same(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(max_cols=4), st.data())
+def test_solve_matches_sympy(case, data):
+    a, ncols = case
+    pick = st.integers(0, len(POOL) - 1)
+    if data.draw(st.booleans()):
+        # consistent by construction
+        x0 = [POOL[data.draw(pick)] for _ in range(ncols)]
+        rhs = la.mat_vec(a, x0)
+    else:
+        rhs = [POOL[data.draw(pick)] for _ in a]
+    dm = _dm(a, ncols)
+    aug = _dm([row + [b] for row, b in zip(a, rhs)], ncols + 1)
+    if aug.rank() > dm.rank():
+        assert la.solve(a, rhs, F) is None
+    elif dm.rank() < ncols:
+        with pytest.raises(ValueError):
+            la.solve(a, rhs, F)
+    else:
+        x = la.solve(a, rhs, F)
+        # the unique solution: the last column of the reduced [A | b]
+        rref, _ = aug.rref()
+        rows = rref.to_list()
+        assert _same(x, [rows[k][ncols] for k in range(ncols)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, len(POOL) - 1), min_size=n,
+                                max_size=n), min_size=n, max_size=n)))
+def test_invert_matches_sympy(idx):
+    n = len(idx)
+    a = [[POOL[k] for k in row] for row in idx]
+    dm = _dm(a, n)
+    if dm.rank() < n:
+        with pytest.raises(ValueError):
+            la.invert(a)
+        return
+    inv = dm.inv().to_list()
+    ours = la.invert(a)
+    for r in range(n):
+        assert _same(ours[r], inv[r])
+
+
+def test_singular_inconsistent_and_underdetermined_cases():
+    one, q = F.one, F.q
+    # singular: second row is q times the first
+    with pytest.raises(ValueError):
+        la.invert([[one, q], [q, q * q]])
+    # inconsistent: x + q y = 1 and q x + q^2 y = 0
+    assert la.solve([[one, q], [q, q * q]], [one, F.zero], F) is None
+    # underdetermined but consistent
+    with pytest.raises(ValueError):
+        la.solve([[one, q], [q, q * q]], [one, q], F)
+    # overdetermined and consistent: the unique solution
+    assert la.solve([[one], [q], [q * q]], [q, q * q, q ** 3], F) == [q]

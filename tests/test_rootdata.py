@@ -53,6 +53,23 @@ def test_longest_words_against_enumeration():
         assert datum.word_from_matrix(m) == word
 
 
+@pytest.mark.parametrize("family,rank,order", [("A", 3, 24), ("B", 3, 48)])
+def test_left_descents_against_inverse_images(family, rank, order):
+    # oracle: i is a left descent of w exactly when w^-1 alpha_i is negative,
+    # with w^-1 the matrix of the reversed word
+    datum = root_datum(family, rank)
+    words = weyl_enumeration(datum, range(rank))
+    assert len(words) == order
+    for m, word in words.items():
+        inv = datum.word_matrix_root(tuple(reversed(word)))
+        expected = tuple(i for i in range(rank)
+                         if any(inv[r][i] < 0 for r in range(rank)))
+        assert datum.left_descents(m) == expected
+        reduced = datum.word_from_matrix(m)
+        assert len(reduced) == len(word)
+        assert datum.word_matrix_root(reduced) == m
+
+
 def test_satake_validation():
     a1 = SatakeDatum(root_datum("A", 1), (), (0,))
     assert a1.is_admissible()

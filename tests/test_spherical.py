@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +8,6 @@ from qspherical.characters import (akin_character, dual_spherical_vector,
                                    find_dual_spherical, find_spherical_lines)
 from qspherical.modules import act_matrix
 from qspherical.qsp import Parameter, chi_shift_coideal, coideal_generators
-from qspherical.rootdata import _solve_rational
 from qspherical.scalars import parse_scalar
 from qspherical.spherical import (MatrixCoefficient, TorusFunction,
                                   antipode_torus, appendix_double_sign_check,
@@ -76,9 +74,7 @@ def test_sl4_restriction_and_action(modules, aiii3_sl4, params, field):
                            aiii3_sl4)
         for n in range(-3, 4):
             for mm in range(-3, 4):
-                coords = _solve_rational(
-                    [[Fraction(b[r]) for b in basis] for r in range(3)],
-                    [Fraction(x) for x in (mm, n, mm)])
+                coords = aiii3_sl4.y_theta_coords((mm, n, mm))
                 assert t.evaluate_coords(coords) == \
                     q ** n + q ** (2 * mm - n) + q ** (n - 2 * mm) + q ** (-n)
         assert is_weyl_invariant(t, aiii3_sl4)[0]
