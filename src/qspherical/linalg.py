@@ -7,11 +7,17 @@ There is one elimination kernel, `_echelonize`.  Each row is first cleared
 of denominators to polynomials over the Gaussian integers Z[i][v], then rows
 are eliminated fraction-free by cross multiplication, with the content
 stripped after every update; coefficient growth stays determinant-sized
-instead of letting rational-function gcds blow up.  `nullspace` reads a basis
-off the echelon rows by back substitution; `solve` and `invert` are kernel
+instead of letting rational-function gcds blow up.
+
+`column_relations` is the one place that decides which columns of a matrix
+depend on earlier ones: it reads the relation of each non-pivot column off
+the echelon rows by back substitution.  The kernel basis (`nullspace`), the
+basis of a simple module's weight space (a Gram block's pivot columns) and
+the quasi-K raising words all come from it.  `solve` and `invert` are kernel
 problems: column j of the answer to A X = B is the kernel vector of [A | -B]
 whose free column n + j is one.  A modular evaluation screen runs before
-`nullspace` eliminates; it only certifies full rank, never decides equality.
+`column_relations` eliminates; it only certifies full rank, never decides
+equality.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ def invert(a: list) -> list:
     return transpose(cols)
 
 
-def solve(a: list, rhs: list, field: Field) -> list | None:
+def solve(a: list, rhs: list) -> list | None:
     """The solution of A x = rhs, or None when the system is inconsistent.
 
     The system may be overdetermined; raises ValueError when the solution is
@@ -138,20 +144,28 @@ def _solve_columns(a: list, b: list) -> list | None:
             for free in range(n, ncols)]
 
 
-def nullspace(a: list, ncols: int, field: Field) -> list:
-    """Deterministic basis of the right kernel, free variables set to one.
+def column_relations(a: list, ncols: int, field: Field) -> dict:
+    """Each column of A that depends on the columns before it, mapped to its
+    relation: the kernel vector that is one at that column and zero at every
+    other dependent column.
 
-    A modular evaluation certifies full-rank systems first, so empty kernels
-    cost almost nothing.
+    The other columns are the pivot columns in input order, the greedy basis
+    of the column space.  A modular evaluation certifies full-rank systems
+    first, so independent columns cost almost nothing.
     """
     rows = [_clear_denominators(row) for row in a]
     rows = [row for row in rows if any(row)]
     if _modular_rank(rows, ncols) == ncols:
-        return []
+        return {}
     pivots = _echelonize(rows, ncols)
     pivot_set = set(pivots)
-    return [_kernel_vector(rows, pivots, free, ncols, field)
-            for free in range(ncols) if free not in pivot_set]
+    return {free: _kernel_vector(rows, pivots, free, ncols, field)
+            for free in range(ncols) if free not in pivot_set}
+
+
+def nullspace(a: list, ncols: int, field: Field) -> list:
+    """Deterministic basis of the right kernel, free variables set to one."""
+    return list(column_relations(a, ncols, field).values())
 
 
 def _echelonize(rows: list, ncols: int) -> list:
@@ -305,66 +319,6 @@ def _modular_rank(rows, ncols: int) -> int | None:
         rank_count += 1
         r += 1
     return rank_count
-
-
-def symmetric_nondegenerate_subset(g: list) -> list:
-    """Indices of a maximal principal submatrix of a symmetric matrix that is
-    nonsingular, chosen deterministically by input order.
-
-    Elimination uses 1x1 pivots when a nonzero diagonal Schur entry exists and
-    falls back to symmetric 2x2 pivots otherwise, so zero diagonals cannot
-    hide rank.
-    """
-    n = len(g)
-    if n == 0:
-        return []
-    field = g[0][0].field
-    work = [list(row) for row in g]
-    remaining = list(range(n))
-    selected = []
-    while remaining:
-        k = next((r for r in remaining if work[r][r]), None)
-        if k is not None:
-            selected.append(k)
-            inv = work[k][k].inverse()
-            remaining.remove(k)
-            for r in remaining:
-                if not work[r][k]:
-                    continue
-                f = work[r][k] * inv
-                for c in remaining:
-                    work[r][c] = work[r][c] - f * work[k][c]
-            for r in remaining:
-                work[r][k] = field.zero
-                work[k][r] = field.zero
-            continue
-        pair = None
-        for a_idx in range(len(remaining)):
-            for b_idx in range(a_idx + 1, len(remaining)):
-                if work[remaining[a_idx]][remaining[b_idx]]:
-                    pair = (remaining[a_idx], remaining[b_idx])
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        k, l = pair
-        selected.extend([k, l])
-        w = work[k][l]
-        winv = w.inverse()
-        remaining.remove(k)
-        remaining.remove(l)
-        for r in remaining:
-            rk, rl = work[r][k], work[r][l]
-            if not rk and not rl:
-                continue
-            for c in remaining:
-                # inverse of [[0, w], [w, 0]] is [[0, 1/w], [1/w, 0]]
-                work[r][c] = work[r][c] - winv * (rk * work[l][c] + rl * work[k][c])
-        for r in remaining:
-            work[r][k] = work[r][l] = field.zero
-            work[k][r] = work[l][r] = field.zero
-    return sorted(selected)
 
 
 def kron(a: list, b: list, field: Field) -> list:

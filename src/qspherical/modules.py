@@ -1,11 +1,12 @@
 """Exact finite-dimensional weight modules.
 
 Simple highest-weight modules are realized concretely: weight spaces are
-spanned by lowering-operator words applied to the highest weight vector, a
-maximal set with nondegenerate contravariant Gram minor is kept as basis,
-and the generator actions are stored as dense matrices over the exact
-coefficient field.  In this basis the module bar involution is plain
-coefficient conjugation, and the lowest weight basis vector is bar-fixed.
+spanned by lowering-operator words applied to the highest weight vector,
+the words whose contravariant Gram columns do not depend on earlier ones
+are kept as basis, and the generator actions are stored as dense matrices
+over the exact coefficient field.  In this basis the module bar involution
+is plain coefficient conjugation, and the lowest weight basis vector is
+bar-fixed.
 """
 
 from __future__ import annotations
@@ -117,13 +118,6 @@ class ModuleVector:
     def bar(self) -> "ModuleVector":
         """The module bar involution: anti-linear, fixing the word basis."""
         return ModuleVector(self.module, [c.bar() for c in self.coeffs])
-
-    def support_weights(self) -> tuple:
-        seen = []
-        for idx, c in enumerate(self.coeffs):
-            if c and self.module.weights[idx] not in seen:
-                seen.append(self.module.weights[idx])
-        return tuple(seen)
 
     def coefficient(self, idx: int) -> FieldElem:
         return self.coeffs[idx]
@@ -250,11 +244,12 @@ def build_simple(datum: RootDatum, lam, field: Field,
                  dim_cap: int = 2000) -> SimpleModule:
     """Construct the simple module of highest weight lam.
 
-    Weight spaces are spanned by lowering words; the Gram matrix of the
+    Weight spaces are spanned by lowering words; the Gram matrix g of the
     spanning candidates is computed by moving raising operators across the
-    commutator relation, and a maximal nondegenerate principal minor picks
-    the basis.  The radical is quotiented implicitly: rejected candidates
-    are expanded in the kept basis through the Gram system.
+    commutator relation, and its pivot columns P, in input order, are the
+    basis.  g is symmetric, so rows P span its row space and g[P, P] is
+    nonsingular.  The radical is quotiented implicitly: a rejected candidate
+    is the combination of kept ones given by its column relation in g.
     """
     lam = tuple(int(x) for x in lam)
     if not datum.is_dominant(lam):
@@ -351,7 +346,8 @@ def build_simple(datum: RootDatum, lam, field: Field,
                         if x and grow[t]:
                             acc = acc + grow[t] * x
                     g[a][b] = acc
-            keep = linalg.symmetric_nondegenerate_subset(g)
+            relations = linalg.column_relations(g, m, field)
+            keep = [a for a in range(m) if a not in relations]
             basis_dim[k] = len(keep)
             running_dim += len(keep)
             if running_dim > dim_cap:
@@ -362,17 +358,13 @@ def build_simple(datum: RootDatum, lam, field: Field,
                 gram[k] = [[g[a][b] for b in keep] for a in keep]
                 words[k] = [(cands[a][0],) + tuple(words[cands[a][1]][cands[a][2]])
                             for a in keep]
-                gk = gram[k]
-                for ci in range(m):
-                    if ci in keep:
-                        pos = keep.index(ci)
-                        expansions[ci] = [field.one if t == pos else field.zero
-                                          for t in range(len(keep))]
-                    else:
-                        sol = linalg.solve(gk, [g[a][ci] for a in keep], field)
-                        if sol is None:
-                            raise ModuleError("dependent candidate failed to resolve")
-                        expansions[ci] = sol
+                for pos, ci in enumerate(keep):
+                    expansions[ci] = [field.one if t == pos else field.zero
+                                      for t in range(len(keep))]
+                # g vec = 0 writes column ci as -sum vec[p] column p, and
+                # g's kernel is the radical, so the candidate is that sum
+                for ci, vec in relations.items():
+                    expansions[ci] = [-vec[a] for a in keep]
             for i in range(n):
                 src = lower(k, i)
                 if any(x < 0 for x in src) or bdim(src) == 0:

@@ -82,44 +82,33 @@ def _rank_one_generators(i: int, param: Parameter, gens: CoidealGenerators):
 
 def _raising_word_matrices(module, alphabet) -> list:
     """Linearly independent matrices of nonconstant raising words over the
-    subdiagram alphabet, by breadth-first products of the raising generators."""
+    subdiagram alphabet, by breadth-first products of the raising generators.
+
+    A word of length k raises weights by a root of height k, so words of
+    different lengths are independent, and the words longer than the
+    module's height span are zero.  At each length the nonzero products of
+    the previous length's words with each letter are kept, in order, unless
+    they depend on the ones before them.
+    """
     field = module.field
     dim = module.dim
-    span_rows = []
-
-    def vectorize(mat):
-        return [mat[r][c] for r in range(dim) for c in range(dim)]
-
-    def extends_span(mat) -> bool:
-        row = vectorize(mat)
-        for lead, lval, srow in span_rows:
-            if row[lead]:
-                f = row[lead] / lval
-                row = [x - f * y for x, y in zip(row, srow)]
-        lead = next((k for k, x in enumerate(row) if x), None)
-        if lead is None:
-            return False
-        span_rows.append((lead, row[lead], row))
-        return True
-
     # closing over independent representatives only is complete: products of
     # dependent words stay inside the span of products of independent ones
     frontier = [linalg.identity(dim, field)]
     independent = []
-    max_len = module.dim * 2 + 2
-    length = 0
-    while frontier and length < max_len:
-        length += 1
-        nxt = []
+    while frontier:
+        cands = []
         for mat in frontier:
             for j in alphabet:
                 prod = linalg.mat_mul(module.e_mats[j], mat)
-                if linalg.is_zero_matrix(prod):
-                    continue
-                if extends_span(prod):
-                    independent.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+                if not linalg.is_zero_matrix(prod):
+                    cands.append(prod)
+        # one column per candidate, one row per matrix entry
+        vectorized = [[w[r][c] for w in cands]
+                      for r in range(dim) for c in range(dim)]
+        relations = linalg.column_relations(vectorized, len(cands), field)
+        frontier = [w for t, w in enumerate(cands) if t not in relations]
+        independent.extend(frontier)
     return independent
 
 
@@ -152,7 +141,7 @@ def _solve_intertwiner(i: int, param: Parameter, module: SimpleModule) -> Operat
             raise IntertwinerError("inconsistent intertwiner system with no unknowns")
         return Operator.identity(module)
     try:
-        x = linalg.solve(rows, rhs, field)
+        x = linalg.solve(rows, rhs)
     except ValueError as exc:
         raise IntertwinerError("intertwiner system is underdetermined") from exc
     if x is None:

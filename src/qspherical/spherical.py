@@ -38,10 +38,6 @@ class MatrixCoefficient:
         mat = x.mat if isinstance(x, Operator) else x
         return self.module.shapovalov(self.f, act_matrix(mat, self.v))
 
-    def evaluate_torus(self, h):
-        """Value at K_h for h in the (half) coweight lattice."""
-        return self.module.shapovalov(self.f, act_Kh(h, self.v))
-
     def scaled(self, s) -> "MatrixCoefficient":
         return MatrixCoefficient(self.module, self.f, self.v.scale(s))
 

@@ -98,6 +98,20 @@ def test_nullspace_matches_rref_kernel(case):
 
 
 @settings(max_examples=40, deadline=None)
+@given(matrices())
+def test_column_relations_match_rref_pivots(case):
+    a, ncols = case
+    ours = la.column_relations(a, ncols, F)
+    _, pivots = _dm(a, ncols).rref()
+    assert sorted(ours) == [j for j in range(ncols) if j not in pivots]
+    for j, vec in ours.items():
+        assert vec[j] == F.one
+        assert all(not x for x in vec[j + 1:])
+        for row in a:
+            assert not sum((_sym(x) * _sym(y) for x, y in zip(row, vec)), K.zero)
+
+
+@settings(max_examples=40, deadline=None)
 @given(matrices(max_cols=4), st.data())
 def test_solve_matches_sympy(case, data):
     a, ncols = case
@@ -111,12 +125,12 @@ def test_solve_matches_sympy(case, data):
     dm = _dm(a, ncols)
     aug = _dm([row + [b] for row, b in zip(a, rhs)], ncols + 1)
     if aug.rank() > dm.rank():
-        assert la.solve(a, rhs, F) is None
+        assert la.solve(a, rhs) is None
     elif dm.rank() < ncols:
         with pytest.raises(ValueError):
-            la.solve(a, rhs, F)
+            la.solve(a, rhs)
     else:
-        x = la.solve(a, rhs, F)
+        x = la.solve(a, rhs)
         # the unique solution: the last column of the reduced [A | b]
         rref, _ = aug.rref()
         rows = rref.to_list()
@@ -147,9 +161,9 @@ def test_singular_inconsistent_and_underdetermined_cases():
     with pytest.raises(ValueError):
         la.invert([[one, q], [q, q * q]])
     # inconsistent: x + q y = 1 and q x + q^2 y = 0
-    assert la.solve([[one, q], [q, q * q]], [one, F.zero], F) is None
+    assert la.solve([[one, q], [q, q * q]], [one, F.zero]) is None
     # underdetermined but consistent
     with pytest.raises(ValueError):
-        la.solve([[one, q], [q, q * q]], [one, q], F)
+        la.solve([[one, q], [q, q * q]], [one, q])
     # overdetermined and consistent: the unique solution
-    assert la.solve([[one], [q], [q * q]], [q, q * q, q ** 3], F) == [q]
+    assert la.solve([[one], [q], [q * q]], [q, q * q, q ** 3]) == [q]

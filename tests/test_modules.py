@@ -40,6 +40,33 @@ def test_defining_relations_and_contravariance(modules):
         assert check_contravariance(m) == []
 
 
+@pytest.mark.parametrize("family,rank,lam", [("A", 2, (2, 1)),
+                                              ("A", 3, (1, 0, 2))])
+def test_basis_from_one_elimination_per_block(monkeypatch, family, rank, lam):
+    # both modules have Gram blocks with rejected candidates; their
+    # expansions come from the block's column relations, never from a solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("build_simple called linalg.solve")
+
+    calls = {"relations": 0, "echelonize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(la, "solve", no_solve)
+    monkeypatch.setattr(la, "column_relations",
+                        counted("relations", la.column_relations))
+    monkeypatch.setattr(la, "_echelonize", counted("echelonize", la._echelonize))
+    m = build_simple(root_datum(family, rank), lam, F)
+    assert m.dim == root_datum(family, rank).weyl_dim(lam)
+    assert 0 < calls["echelonize"] <= calls["relations"]
+    assert check_defining_relations(m) == []
+    assert check_contravariance(m) == []
+
+
 def test_shapovalov_values(modules):
     m = modules("A", 1, (2,))
     v = m.highest_vector()
