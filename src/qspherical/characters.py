@@ -122,6 +122,32 @@ def _candidate_values(param: Parameter, i: int, bound: int) -> list:
     return out
 
 
+def _eigen_rows(mat: list, value: FieldElem) -> list:
+    """Rows of the condition X v = value v."""
+    rows = [list(row) for row in mat]
+    for r, row in enumerate(rows):
+        row[r] = row[r] - value
+    return rows
+
+
+def _black_torus_rows(module: SimpleModule, gens: CoidealGenerators, lam) -> list:
+    """Rows of the black annihilation conditions E_j v = F_j v = 0 and the
+    torus eigenconditions K_h v = q^<h,lam> v.
+
+    A dual line satisfies the same rows: the contravariant form swaps E_j and
+    F_j and fixes K_h.
+    """
+    field = module.field
+    rows = []
+    for j in sorted(gens.param.satake.black):
+        rows.extend(module.e_mats[j])
+        rows.extend(module.f_mats[j])
+    for h, op in gens.torus:
+        target = field.q_power(Fraction(sum(a * b for a, b in zip(h, lam))))
+        rows.extend(_eigen_rows(op.mat, target))
+    return rows
+
+
 def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
                          param: Parameter) -> list:
     """All one-dimensional coideal submodules of the module.
@@ -135,16 +161,7 @@ def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
     lam = module.lam
     datum = satake.datum
     w0lam = datum.act_word_X(datum.w0_word(), lam)
-    base_rows = []
-    for j in sorted(satake.black):
-        base_rows.extend(module.e_mats[j])
-        base_rows.extend(module.f_mats[j])
-    for h, op in gens.torus:
-        target = field.q_power(Fraction(sum(a * b for a, b in zip(h, lam))))
-        for r in range(module.dim):
-            row = list(op.mat[r])
-            row[r] = row[r] - target
-            base_rows.append(row)
+    base_rows = _black_torus_rows(module, gens, lam)
     node_candidates = []
     nodes = sorted(satake.I_circ)
     for i in nodes:
@@ -163,11 +180,7 @@ def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
         seen_values.add(key)
         rows = list(base_rows)
         for i in nodes:
-            bmat = gens.B[i].mat
-            for r in range(module.dim):
-                row = list(bmat[r])
-                row[r] = row[r] - values[i]
-                rows.append(row)
+            rows.extend(_eigen_rows(gens.B[i].mat, values[i]))
         kernel = linalg.nullspace(rows, module.dim, field)
         if not kernel:
             continue
@@ -189,29 +202,14 @@ def dual_spherical_vector(module: SimpleModule, gens: CoidealGenerators,
                           b_values: dict, lam) -> ModuleVector:
     """The line in the transposed realization of the dual with given values.
 
-    Right action through the transpose antiautomorphism: the conditions are
-    rho(E_j) f = rho(F_j) f = 0, K_h f = q^<h,lam> f and rho(B_i) f = value f.
+    Right action through the adjoint rho for the contravariant form: the
+    conditions are rho(E_j) f = F_j f = 0, rho(F_j) f = E_j f = 0,
+    K_h f = q^<h,lam> f and rho(B_i) f = value f.
     """
-    satake = gens.param.satake
-    field = module.field
-    rows = []
-    for j in sorted(satake.black):
-        rows.extend(module.rho_twist_matrix(module.e_mats[j]))
-        rows.extend(module.rho_twist_matrix(module.f_mats[j]))
-    for h, op in gens.torus:
-        target = field.q_power(Fraction(sum(a * b for a, b in zip(h, lam))))
-        for r in range(module.dim):
-            row = list(op.mat[r])
-            row[r] = row[r] - target
-            rows.append(row)
-    for i in sorted(satake.I_circ):
-        mat = module.rho_twist_matrix(gens.B[i].mat)
-        val = b_values[i]
-        for r in range(module.dim):
-            row = list(mat[r])
-            row[r] = row[r] - val
-            rows.append(row)
-    kernel = linalg.nullspace(rows, module.dim, field)
+    rows = _black_torus_rows(module, gens, lam)
+    for i in sorted(gens.param.satake.I_circ):
+        rows.extend(_eigen_rows(module.rho_twist_matrix(gens.B[i].mat), b_values[i]))
+    kernel = linalg.nullspace(rows, module.dim, module.field)
     if not kernel:
         raise NoDualLine(f"no dual line with values {b_values} on L{tuple(lam)}")
     if len(kernel) > 1:

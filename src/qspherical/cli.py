@@ -11,14 +11,14 @@ import dataclasses
 import json
 import sys
 
-from .characters import (akin_character, dual_spherical_vector,
-                         find_dual_spherical, find_spherical_lines,
-                         hermitian_scan)
+from .characters import (MultiplicityViolation, NoDualLine, akin_character,
+                         dual_spherical_vector, find_dual_spherical,
+                         find_spherical_lines, hermitian_scan)
 from .modules import DimensionCapExceeded, build_simple, check_contravariance, \
     check_defining_relations
 from .qsp import Parameter, ParameterError, chi_shift_coideal, \
     coideal_generators, distinguished_parameter
-from .quasik import quasi_k, wz_character_check
+from .quasik import IntertwinerError, quasi_k, wz_character_check
 from .rootdata import (RootDatumError, SatakeDatum, root_datum,
                        satake_from_config, table1_constants)
 from .scalars import Field, ScalarParseError, UnrepresentableScalar, parse_scalar
@@ -28,6 +28,11 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_CAP = 3
+
+# exceptions that mean a check failed, with their report error codes
+CHECK_FAILURES = {MultiplicityViolation: "multiplicity",
+                  NoDualLine: "no-dual-line",
+                  IntertwinerError: "intertwiner"}
 
 TABLE1_ROWS = [("AI1", None), ("AII3", None), ("AIII11", None),
                ("AIV", 2), ("AIV", 3), ("BII", 2), ("BII", 3),
@@ -83,10 +88,12 @@ def _load_parameter(job: JobSpec, satake: SatakeDatum, field: Field) -> Paramete
         return distinguished_parameter(satake, field)
     c, s = {}, {}
     try:
-        for key, literal in job.parameters.items():
-            c[int(key) - 1] = parse_scalar(literal, field)
-        for key, literal in (job.s_parameters or {}).items():
-            s[int(key) - 1] = parse_scalar(literal, field)
+        for values, literals in ((c, job.parameters), (s, job.s_parameters or {})):
+            for key, literal in literals.items():
+                node = int(key) - 1
+                if node not in satake.I_circ:
+                    raise InputError(f"parameter node {key} is not a white node")
+                values[node] = parse_scalar(literal, field)
     except (ScalarParseError, UnrepresentableScalar, ValueError) as exc:
         raise InputError(f"parameter error: {exc}") from exc
     try:
@@ -341,6 +348,9 @@ def run(job: JobSpec):
     except DimensionCapExceeded as exc:
         report["error"] = {"code": "dimension-cap", "detail": str(exc)}
         return EXIT_RESOURCE_CAP, report
+    except tuple(CHECK_FAILURES) as exc:
+        report["error"] = {"code": CHECK_FAILURES[type(exc)], "detail": str(exc)}
+        return EXIT_CHECK_FAILED, report
     report["passed"] = status == EXIT_PASS
     return status, report
 

@@ -1,12 +1,14 @@
 """Rank-one quasi-K matrices and the relative braid operators built from them.
 
-For a uniform rank-one restriction the intertwiner is solved exactly, per
-module, from its defining linear system: generator-wise, (i-bar image of b)
-composed with the unknown weight-raising operator equals the operator
-composed with the bar conjugate of b, with identity constant term.  Balanced
-non-uniform restrictions are handled by a positive monomial twist to their
-uniform normal form; the twist direction is fixed by equivariance of the
-relative operators under parameter rescaling.
+The intertwiner at a white node i is solved exactly, per module, from one
+linear system: generator-wise, the i-bar image of a generator for c composed
+with the unknown weight-raising operator (identity constant term) equals the
+operator composed with the bar conjugate of the same generator for c', which
+is c with c_i and c_tau(i) replaced by their uniform images.  A uniform
+restriction has c' = c.  A balanced monomial one has c' = b^2 c, where b is
+the positive monomial twist to the uniform normal form b c; the twist
+direction is fixed by equivariance of the relative operators under parameter
+rescaling.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .braid import Operator, phi_diag, rescaled_T
+from .braid import Operator, rescaled_T
 from .modules import ModuleVector, SimpleModule
 from .qsp import (CoidealGenerators, Parameter, ParameterError,
                   _uniform_exponent, _pair_rho_vee, _even_int,
-                  coideal_generators)
+                  coideal_generators, twist_parameter)
 from .characters import SphericalLine, line_character_values
 from .scalars import UnrepresentableScalar
 
@@ -50,22 +52,37 @@ class QuasiKOnModule:
         return True
 
 
-def _rank_one_generators(i: int, param: Parameter, gens: CoidealGenerators):
-    """Named generators of the rank-one coideal attached to a white node,
-    as triples (name, i-bar image matrix, generator matrix).
+def _uniform_image(i: int, param: Parameter) -> Parameter:
+    """c with c_i and c_tau(i) replaced by their uniform images
+    +-q^(-e) bar(c_tau(i)); c itself when it is uniform at i."""
+    if param.uniform_at(i):
+        return param
+    ti = param.satake.tau[i]
+    c = dict(param.c)
+    c[i], c[ti] = param._uniform_rhs(i), param._uniform_rhs(ti)
+    return Parameter(param.satake, c, param.s)
 
-    The i-bar involution fixes the white generators and the black Chevalley
-    generators and inverts the torus generators.
+
+def _rank_one_generators(i: int, param: Parameter, module: SimpleModule,
+                         right: Parameter | None = None) -> list:
+    """The defining system of the rank-one intertwiner U at a white node, as
+    matrix pairs (left, right) with left U = U right.
+
+    Left is the i-bar image of a generator for param, right the bar
+    conjugate of the same generator for the parameter right, by default the
+    uniform image of param at i.  The i-bar involution fixes the white
+    generators and the black Chevalley generators and inverts the torus
+    generators.
     """
     satake = param.satake
-    module = gens.module
-    out = [("B_%d" % i, gens.B[i].mat, gens.B[i].mat)]
+    right = right or _uniform_image(i, param)
+    gl = coideal_generators(param, module)
+    gr = gl if right is param else coideal_generators(right, module)
     ti = satake.tau[i]
-    if ti != i:
-        out.append(("B_%d" % ti, gens.B[ti].mat, gens.B[ti].mat))
+    mats = [(gl.B[k].mat, gr.B[k].mat) for k in ([i] if ti == i else [i, ti])]
     for j in sorted(satake.black):
-        out.append(("E_%d" % j, gens.black_E[j].mat, gens.black_E[j].mat))
-        out.append(("F_%d" % j, gens.black_F[j].mat, gens.black_F[j].mat))
+        mats.append((gl.black_E[j].mat, gr.black_E[j].mat))
+        mats.append((gl.black_F[j].mat, gr.black_F[j].mat))
     n = satake.datum.n
     torus = []
     if ti != i:
@@ -75,9 +92,8 @@ def _rank_one_generators(i: int, param: Parameter, gens: CoidealGenerators):
     for j in sorted(satake.black):
         torus.append(tuple(satake.datum.d[j] * (1 if k == j else 0) for k in range(n)))
     for h in torus:
-        hneg = tuple(-x for x in h)
-        out.append((f"K_{h}", module.k_matrix(hneg), module.k_matrix(h)))
-    return out
+        mats.append((module.k_matrix(tuple(-x for x in h)), module.k_matrix(h)))
+    return [(left, linalg.bar_matrix(g)) for left, g in mats]
 
 
 def _raising_word_matrices(module, alphabet) -> list:
@@ -112,24 +128,22 @@ def _raising_word_matrices(module, alphabet) -> list:
     return independent
 
 
-def _solve_intertwiner(i: int, param: Parameter, module: SimpleModule) -> Operator:
-    """Solve the defining system for a uniform rank-one restriction."""
-    satake = param.satake
+def _solve_intertwiner(i: int, satake, pairs: list,
+                       module: SimpleModule) -> Operator:
+    """The unique I + sum x_w W over the raising words W of the rank-one
+    subdiagram with left U = U right for every pair of the system."""
     field = module.field
-    gens = coideal_generators(param, module)
-    named = _rank_one_generators(i, param, gens)
     alphabet = sorted(set(satake.black) | {i, satake.tau[i]})
     words = _raising_word_matrices(module, alphabet)
     dim = module.dim
     nunk = len(words)
     rows = []
     rhs = []
-    for _, gleft, g in named:
-        gbar = linalg.bar_matrix(g)
-        # gleft (I + sum x_w W) = (I + sum x_w W) gbar
-        coeff_mats = [linalg.mat_sub(linalg.mat_mul(gleft, w), linalg.mat_mul(w, gbar))
+    for left, right in pairs:
+        # left (I + sum x_w W) = (I + sum x_w W) right
+        coeff_mats = [linalg.mat_sub(linalg.mat_mul(left, w), linalg.mat_mul(w, right))
                       for w in words]
-        target = linalg.mat_sub(gbar, gleft)
+        target = linalg.mat_sub(right, left)
         for r in range(dim):
             for c in range(dim):
                 row = [cm[r][c] for cm in coeff_mats]
@@ -177,7 +191,6 @@ def _uniform_normal_form(i: int, param: Parameter):
     a = {j: field.one for j in satake.I_circ}
     a[i] = b
     a[satake.tau[i]] = b
-    from .qsp import twist_parameter
     return twist_parameter(a, param), a, b
 
 
@@ -185,11 +198,18 @@ def _param_key(param: Parameter) -> tuple:
     return (tuple(sorted(param.c.items())), tuple(sorted(param.s.items())))
 
 
+def _residual_zero(u: list, pairs: list) -> bool:
+    return all(linalg.mat_eq(linalg.mat_mul(left, u), linalg.mat_mul(u, right))
+               for left, right in pairs)
+
+
 def quasi_k(i: int, param: Parameter, module: SimpleModule) -> QuasiKOnModule:
     """The rank-one intertwiner at a white node, on one module.
 
-    Uniform restrictions are solved directly; balanced monomial restrictions
-    are conjugated back from their uniform normal form by the diagonal twist.
+    One system for every standard restriction: the left generators come from
+    c, the right ones from its uniform image at i (c itself when uniform).
+    A balanced monomial restriction is "transported": its twist b to the
+    uniform normal form b c is recorded, and b^2 c is the uniform image.
     Results are cached on the module.
     """
     satake = param.satake
@@ -203,20 +223,17 @@ def quasi_k(i: int, param: Parameter, module: SimpleModule) -> QuasiKOnModule:
         return cache[key]
     if any(param.s[j] for j in (i, satake.tau[i])):
         raise ParameterError("the intertwiner needs a standard rank-one restriction")
-    if param.uniform_at(i):
-        op = _solve_intertwiner(i, param, module)
-        result = QuasiKOnModule(module, i, op, "uniform", None, False)
-    else:
+    mode, twist = "uniform", None
+    if not param.uniform_at(i):
         if param.c[i] != param.c[satake.tau[i]]:
             raise ParameterError("non-uniform restrictions must be balanced")
-        param_u, a, b = _uniform_normal_form(i, param)
+        param_u, _, twist = _uniform_normal_form(i, param)
         if not param_u.uniform_at(i):
             raise IntertwinerError("normal form failed to be uniform")
-        op_u = _solve_intertwiner(i, param_u, module)
-        d = phi_diag(a, module)
-        op = d.conj(op_u)
-        result = QuasiKOnModule(module, i, op, "transported", b, False)
-    result.residual_ok = verify_intertwining(result, param)
+        mode = "transported"
+    pairs = _rank_one_generators(i, param, module)
+    op = _solve_intertwiner(i, satake, pairs, module)
+    result = QuasiKOnModule(module, i, op, mode, twist, _residual_zero(op.mat, pairs))
     if not result.residual_ok:
         raise IntertwinerError(f"intertwining residual is nonzero at node {i}")
     cache[key] = result
@@ -224,35 +241,9 @@ def quasi_k(i: int, param: Parameter, module: SimpleModule) -> QuasiKOnModule:
 
 
 def verify_intertwining(qk: QuasiKOnModule, param: Parameter) -> bool:
-    """Exact check of the defining system satisfied by the stored operator.
-
-    For a transported operator the system is the twisted one: the right-hand
-    bar conjugate is taken for the parameter b^2 c.
-    """
-    module = qk.module
-    satake = param.satake
-    i = qk.node
-    if qk.mode == "uniform":
-        left_param = right_param = param
-    else:
-        b2 = qk.twist * qk.twist
-        a = {j: param.field.one for j in satake.I_circ}
-        a[i] = b2
-        a[satake.tau[i]] = b2
-        from .qsp import twist_parameter
-        left_param = param
-        right_param = twist_parameter(a, param)
-    gl = coideal_generators(left_param, module)
-    gr = coideal_generators(right_param, module)
-    left = _rank_one_generators(i, left_param, gl)
-    right = _rank_one_generators(i, right_param, gr)
-    u = qk.operator.mat
-    for (_, lbar, _), (_, _, rgen) in zip(left, right):
-        lhs = linalg.mat_mul(lbar, u)
-        rhs = linalg.mat_mul(u, linalg.bar_matrix(rgen))
-        if not linalg.mat_eq(lhs, rhs):
-            return False
-    return True
+    """Exact check of the defining system satisfied by the stored operator."""
+    pairs = _rank_one_generators(qk.node, param, qk.module)
+    return _residual_zero(qk.operator.mat, pairs)
 
 
 def _unipotent_inverse(op: Operator) -> Operator:

@@ -1,11 +1,14 @@
 import json
+import pathlib
 
 import pytest
 
 import qspherical.cli as cli
 import qspherical.quasik as quasik
+from qspherical.characters import MultiplicityViolation, NoDualLine
 from qspherical.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_PASS,
                             EXIT_RESOURCE_CAP, JobSpec, main, run)
+from qspherical.quasik import IntertwinerError
 
 SL3_CONFIG = {"cartan": [[2, -1], [-1, 2]], "symmetrizer": [1, 1],
               "black": [], "tau": [2, 1]}
@@ -142,9 +145,9 @@ def test_invariance_builds_each_module_once(ai1_config, monkeypatch):
         built.append(tuple(lam))
         return build(datum, lam, *args, **kwargs)
 
-    def counting_solve(i, param, module):
+    def counting_solve(i, satake, pairs, module):
         solved.append((module.lam, i))
-        return solve(i, param, module)
+        return solve(i, satake, pairs, module)
 
     monkeypatch.setattr(cli, "build_simple", counting_build)
     monkeypatch.setattr(quasik, "_solve_intertwiner", counting_solve)
@@ -180,13 +183,46 @@ def test_unbalanced_parameter_is_input_error(sl3_config, capsys):
     assert report["error"]["code"] == "input"
 
 
-@pytest.mark.parametrize("flag", ["--c", "--s"])
-def test_malformed_parameter_flag_honours_out(ai1_config, tmp_path, capsys, flag):
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ai1.json", "--c", "1"],
+    ["ai1.json", "--s", "1"],
+    # nodes that are not white were silently dropped
+    ["ai1.json", "--c", "1=-q^-2", "--c", "5=q", "--weight", "2"],
+    ["ai1.json", "--c", "1=-q^-2", "--c", "0=q", "--weight", "2"],
+    ["aii3_sl4.json", "--c", "1=7", "--c", "2=q", "--weight", "0,1,0"],
+    ["aii3_sl4.json", "--c", "2=q", "--s", "3=1", "--weight", "0,1,0"],
+], ids=["--c", "--s", "c-out-of-range", "c-node-zero", "c-black-node",
+        "s-black-node"])
+def test_malformed_parameter_flag_honours_out(tmp_path, capsys, argv):
     out = tmp_path / "report.json"
-    code = main(["characters", "--config", ai1_config, flag, "1",
-                 "--out", str(out)])
+    code = main(["characters", "--config", str(CONFIGS / argv[0])] + argv[1:]
+                + ["--out", str(out)])
     assert code == EXIT_INPUT_ERROR
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text())
     assert report["checks"] == []
     assert report["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize("name, exc, code, done", [
+    ("find_spherical_lines", MultiplicityViolation, "multiplicity", ["quasik"]),
+    ("dual_spherical_vector", NoDualLine, "no-dual-line", ["quasik"]),
+    ("quasi_k", IntertwinerError, "intertwiner", []),
+], ids=["multiplicity", "no-dual-line", "intertwiner"])
+def test_check_failure_is_exit_1(ai1_config, tmp_path, capsys, monkeypatch,
+                                 name, exc, code, done):
+    def fail(*args, **kwargs):
+        raise exc("planted failure")
+
+    monkeypatch.setattr(cli, name, fail)
+    out = tmp_path / "report.json"
+    status = main(["invariance", "--config", ai1_config, "--weight", "2",
+                   "--out", str(out)])
+    assert status == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert [body["check"] for body in report["checks"]] == done
+    assert report["error"] == {"code": code, "detail": "planted failure"}

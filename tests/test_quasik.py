@@ -5,14 +5,15 @@ import random
 import pytest
 
 from qspherical import Field
-from qspherical.braid import Operator, rescaled_T
+from qspherical.braid import Operator, phi_diag, rescaled_T
 from qspherical.characters import find_spherical_lines
 from qspherical.modules import act_matrix, build_simple
 from qspherical.qsp import (Parameter, ParameterError, coideal_generators,
                             distinguished_parameter)
-from qspherical.quasik import (IntertwinerError, _unipotent_inverse, quasi_k,
-                               verify_intertwining, wz_character_check,
-                               wz_on_vector, wz_operator, wz_precompose)
+from qspherical.quasik import (IntertwinerError, _uniform_normal_form,
+                               _unipotent_inverse, quasi_k, verify_intertwining,
+                               wz_character_check, wz_on_vector, wz_operator,
+                               wz_precompose)
 from qspherical.rootdata import satake_from_config
 import qspherical.linalg as la
 
@@ -60,11 +61,14 @@ def test_transported_solution(modules, ai1, params):
 
 
 def test_nonuniform_plain_system_is_inconsistent(modules, ai1, params):
-    # the counterexample that forces the transported construction
-    from qspherical.quasik import _solve_intertwiner
+    # with the same non-uniform c on both sides the system has no solution;
+    # the right-hand side needs the uniform image of c
+    from qspherical.quasik import _rank_one_generators, _solve_intertwiner
     m = modules("A", 1, (1,))
+    par = params["ai1_dist"]
+    pairs = _rank_one_generators(0, par, m, right=par)
     with pytest.raises(IntertwinerError):
-        _solve_intertwiner(0, params["ai1_dist"], m)
+        _solve_intertwiner(0, par.satake, pairs, m)
 
 
 def test_intertwining_residual_exactly_zero(modules, aiii_sl3, params):
@@ -81,14 +85,9 @@ def test_bar_inverse_fails_for_transported_plain_bar(modules, ai1, params):
     m = modules("A", 1, (2,))
     qk = quasi_k(0, params["ai1_dist"], m)
     assert qk.operator.bar_conjugate() != qk.operator.inverse()
-    par_u, a, b = _normal_form(params["ai1_dist"])
+    par_u, a, b = _uniform_normal_form(0, params["ai1_dist"])
     qk_u = quasi_k(0, par_u, m)
     assert qk_u.operator.bar_conjugate() == qk_u.operator.inverse()
-
-
-def _normal_form(param):
-    from qspherical.quasik import _uniform_normal_form
-    return _uniform_normal_form(0, param)
 
 
 def test_factorized_identity_on_random_words(modules, ai1, params):
@@ -225,6 +224,32 @@ def test_structural_inverses_on_larger_modules(modules, ai1, aiii_sl3,
                                    ("A", 2, (1, 1), "aiii_sl3_uniform"),
                                    ("A", 3, (0, 1, 0), "aiii3_sl4")]:
         _assert_structural_inverses(modules(family, rank, lam), params[key])
+
+
+REFERENCE_WEIGHTS = {"ai1": [(2,), (3,)],
+                     "aii3_sl4": [(0, 1, 0), (0, 2, 0)],
+                     "aiii3_sl4": [(0, 1, 0), (1, 0, 1)],
+                     "aiii_sl3": [(1, 0), (1, 1)]}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_one_system_matches_reference_transport(path):
+    # the reference construction of a transported intertwiner: solve for the
+    # uniform normal form b c, then conjugate by the diagonal twist
+    satake = satake_from_config(json.loads(path.read_text()))
+    par = distinguished_parameter(satake, F)
+    transported = 0
+    for lam in REFERENCE_WEIGHTS[path.stem]:
+        m = build_simple(satake.datum, lam, F)
+        for i in satake.relative_orbit_representatives():
+            qk = quasi_k(i, par, m)
+            if qk.mode == "transported":
+                par_u, a, b = _uniform_normal_form(i, par)
+                assert qk.twist == b
+                reference = phi_diag(a, m).conj(quasi_k(i, par_u, m).operator)
+                assert qk.operator == reference
+                transported += 1
+    assert transported
 
 
 def test_unipotent_inverse_rejects_non_unipotent(modules):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ_I
 
 from qspherical.scalars import (Field, FieldElem, QI, UnrepresentableScalar,
                                 parse_scalar)
@@ -10,15 +11,26 @@ from qspherical.scalars import (Field, FieldElem, QI, UnrepresentableScalar,
 F = Field(2)
 
 
-def sympy_of(x: FieldElem):
-    """Independent reading of an element as a sympy expression in v."""
-    v = sympy.Symbol("v")
+V = sympy.Symbol("v")
+QIV = QQ_I.frac_field(V)
 
+
+def _expr(x: FieldElem):
     def poly(p):
-        return sum((sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * v ** k
+        return sum((sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * V ** k
                    for k, c in enumerate(p))
 
-    return sympy.cancel(poly(x.num) / poly(x.den))
+    return poly(x.num) / poly(x.den)
+
+
+def sympy_of(x: FieldElem):
+    """Independent reading of an element as a sympy expression in v."""
+    return sympy.cancel(_expr(x))
+
+
+def frac_of(x: FieldElem, at=V):
+    """x as an element of sympy's QQ_I(v), with v replaced by at."""
+    return QIV.from_sympy(_expr(x).subs(V, at))
 
 
 def test_bar_of_q_is_inverse():
@@ -110,6 +122,9 @@ def test_field_axioms(a, b, c):
     assert a + b == b + a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+    # QQ_I(v) fractions are not stored canonically, so compare differences
+    assert not frac_of(a + b) - (frac_of(a) + frac_of(b))
+    assert not frac_of(a * b) - frac_of(a) * frac_of(b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,6 +133,7 @@ def test_division_cancels(a):
     if not a.is_zero():
         assert a / a == F.one
         assert a * a.inverse() == F.one
+        assert not frac_of(a.inverse()) - 1 / frac_of(a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -126,6 +142,7 @@ def test_bar_is_ring_involution(a, b):
     assert a.bar().bar() == a
     assert (a * b).bar() == a.bar() * b.bar()
     assert (a + b).bar() == a.bar() + b.bar()
+    assert not frac_of(a.bar()) - frac_of(a, 1 / V)
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,3 +168,4 @@ def test_field_sqrt_round_trip(a):
     root = sq.field_sqrt()
     assert root is not None
     assert root * root == sq
+    assert not frac_of(root) - frac_of(a) or not frac_of(root) + frac_of(a)
