@@ -34,6 +34,9 @@ CHECK_FAILURES = {MultiplicityViolation: "multiplicity",
                   NoDualLine: "no-dual-line",
                   IntertwinerError: "intertwiner"}
 
+# the checks that read --c/--s
+PARAMETER_CHECKS = {"characters", "quasik", "spherical"}
+
 TABLE1_ROWS = [("AI1", None), ("AII3", None), ("AIII11", None),
                ("AIV", 2), ("AIV", 3), ("BII", 2), ("BII", 3),
                ("CII", 3), ("CII", 4), ("DII", 4), ("DII", 5), ("FII", None)]
@@ -85,6 +88,9 @@ def _load_satake(job: JobSpec) -> SatakeDatum:
 
 def _load_parameter(job: JobSpec, satake: SatakeDatum, field: Field) -> Parameter:
     if job.parameters is None:
+        if job.s_parameters:
+            raise InputError("--s needs --c: without --c the distinguished "
+                             "parameter is used, and it fixes s")
         return distinguished_parameter(satake, field)
     c, s = {}, {}
     try:
@@ -331,6 +337,9 @@ def run(job: JobSpec):
         if check not in RUNNERS:
             raise InputError(f"unknown check {check!r}; known: {sorted(RUNNERS)}")
     try:
+        if ((job.parameters or job.s_parameters)
+                and not PARAMETER_CHECKS.intersection(job.checks)):
+            raise InputError("--c/--s are read only by characters and invariance")
         for check in job.checks:
             body = RUNNERS[check](job, built)
             report["checks"].append(body)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .scalars import QI, Field, FieldElem
-from .scalars import _pmul, _psub_poly, _QI_ONE
+from .scalars import _pmul, _psub_poly, _QI_ONE, _SCREEN_PRIME, _SCREEN_ROOT
 
 
 def zeros(rows: int, cols: int, field: Field) -> list:
@@ -266,21 +266,6 @@ def _strip_row_content(row) -> list:
         row = [tuple(QI(c.re // content, c.im // content) for c in poly)
                for poly in row]
     return list(row)
-
-
-_SCREEN_PRIME = 1000000009
-
-
-def _imaginary_unit_mod():
-    p = _SCREEN_PRIME
-    for g in range(2, 50):
-        s = pow(g, (p - 1) // 4, p)
-        if s * s % p == p - 1:
-            return s
-    return None
-
-
-_SCREEN_ROOT = _imaginary_unit_mod()
 
 
 def _modular_rank(rows, ncols: int) -> int | None:

@@ -4,6 +4,13 @@ Every scalar in this package is a rational function in a fixed root v of q,
 with Gaussian-rational coefficients.  Elements are kept in a canonical form
 (reduced fraction, monic denominator) so that equality is plain structural
 comparison.  The bar involution maps v to 1/v and fixes i.
+
+A fraction is reduced in integer arithmetic: numerator and denominator are
+scaled to polynomials over Z (or Z[i]), a common factor is found by the
+heuristic GCD, and it is accepted only if it divides both exactly and the
+cofactors are certified coprime modulo a prime p = 1 (mod 4).  The
+certificate only ever confirms; when the heuristic gives up or a check
+fails, Euclid over Q(i) reduces the fraction instead.
 """
 
 from __future__ import annotations
@@ -210,6 +217,267 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
     return a
 
 
+def _euclid_reduce(num: tuple, den: tuple) -> tuple:
+    """Canonical (num, den) of num/den by Euclid over Q(i): the exact fallback
+    of the integer reduction."""
+    g = _pgcd(num, den)
+    if len(g) > 1:
+        num, _ = _pdivmod(num, g)
+        den, _ = _pdivmod(den, g)
+    lead = den[-1]
+    if lead != _QI_ONE:
+        inv = lead.inverse()
+        num = _pscale(num, inv)
+        den = _pscale(den, inv)
+    return num, den
+
+
+# -- integer reduction ---------------------------------------------------
+#
+# num and den are scaled to coefficient lists over Z (ints) or, when either
+# is not real, over Z[i] ((re, im) int pairs), lowest degree first.  The
+# heuristic GCD (Char, Geddes and Gonnet 1989, "GCDHEU"; sympy's
+# dup_zz_heu_gcd) evaluates both at an integer xi, takes one gcd of the two
+# values and reads a candidate common factor off the symmetric base-xi digits
+# of that gcd.  The candidate is accepted only if it divides both exactly and
+# the two cofactors are certified coprime modulo the screen prime.
+
+_SCREEN_PRIME = 1000000009
+
+
+def _imaginary_unit_mod():
+    p = _SCREEN_PRIME
+    for g in range(2, 50):
+        s = pow(g, (p - 1) // 4, p)
+        if s * s % p == p - 1:
+            return s
+    return None
+
+
+# p = 1 mod 4, so i -> _SCREEN_ROOT is a ring map Z[i] -> GF(p)
+_SCREEN_ROOT = _imaginary_unit_mod()
+
+_HEU_TRIES = 6
+
+
+def _z_eval(f: list, x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _z_digits(h: int, x: int) -> list:
+    """Integer polynomial with value h at x and digits in (-x/2, x/2]."""
+    out, half = [], x // 2
+    while h:
+        d = h % x
+        if d > half:
+            d -= x
+        out.append(d)
+        h = (h - d) // x
+    return out
+
+
+def _z_primitive(h: list) -> list:
+    content = math.gcd(*h)
+    return [c // content for c in h]
+
+
+def _z_divide(f: list, h: list) -> list | None:
+    """f / h if h divides f exactly in Z[v], else None."""
+    dh = len(h) - 1
+    nq = len(f) - dh
+    if nq < 1:
+        return None
+    rem, lead, quo = list(f), h[-1], [0] * nq
+    for k in range(nq - 1, -1, -1):
+        c, r = divmod(rem[k + dh], lead)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            for j in range(dh):
+                rem[k + j] -= c * h[j]
+    return None if any(rem[:dh]) else quo
+
+
+def _zi_eval(f: list, x: int) -> tuple:
+    re = im = 0
+    for a, b in reversed(f):
+        re, im = re * x + a, im * x + b
+    return re, im
+
+
+def _zi_gcd(a: tuple, b: tuple) -> tuple:
+    """A gcd in Z[i] by Euclid with rounded quotients."""
+    while b != (0, 0):
+        (ar, ai), (br, bi) = a, b
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        a, b = b, (ar - qr * br + qi * bi, ai - qr * bi - qi * br)
+    return a
+
+
+def _zi_quo(a: tuple, b: tuple) -> tuple | None:
+    """a / b if it lies in Z[i], else None."""
+    (ar, ai), (br, bi) = a, b
+    n = br * br + bi * bi
+    qr, rr = divmod(ar * br + ai * bi, n)
+    qi, ri = divmod(ai * br - ar * bi, n)
+    return None if rr or ri else (qr, qi)
+
+
+def _zi_digits(h: tuple, x: int) -> list:
+    re, im = _z_digits(h[0], x), _z_digits(h[1], x)
+    n = max(len(re), len(im))
+    return list(zip(re + [0] * (n - len(re)), im + [0] * (n - len(im))))
+
+
+def _zi_primitive(h: list) -> list:
+    content = (0, 0)
+    for c in h:
+        content = _zi_gcd(c, content)
+    return [_zi_quo(c, content) for c in h]
+
+
+def _zi_divide(f: list, h: list) -> list | None:
+    """f / h if h divides f exactly in Z[i][v], else None."""
+    dh = len(h) - 1
+    nq = len(f) - dh
+    if nq < 1:
+        return None
+    rem, lead, quo = list(f), h[-1], [(0, 0)] * nq
+    for k in range(nq - 1, -1, -1):
+        c = _zi_quo(rem[k + dh], lead)
+        if c is None:
+            return None
+        if c != (0, 0):
+            quo[k] = c
+            cr, ci = c
+            for j in range(dh):
+                (rr, ri), (hr, hi) = rem[k + j], h[j]
+                rem[k + j] = (rr - cr * hr + ci * hi, ri - cr * hi - ci * hr)
+    return None if any(c != (0, 0) for c in rem[:dh]) else quo
+
+
+# ring operations of the heuristic: zero, norm, eval, gcd, digits,
+# primitive part, exact division
+_Z_OPS = (0, lambda f: max(map(abs, f)), _z_eval, math.gcd, _z_digits,
+          _z_primitive, _z_divide)
+_ZI_OPS = ((0, 0), lambda f: max(max(abs(re), abs(im)) for re, im in f),
+           _zi_eval, _zi_gcd, _zi_digits, _zi_primitive, _zi_divide)
+
+
+def _heu_cofactors(f: list, g: list, ops: tuple) -> tuple | None:
+    """(f/h, g/h) for a common factor h of f and g that the heuristic finds
+    and that divides both exactly, or None if it gives up."""
+    zero, norm, evaluate, gcd, digits, primitive, divide = ops
+    # xi >= 2 min(|f|, |g|) + 2 makes an exact common divisor the gcd
+    xi = 2 * min(norm(f), norm(g)) + 29
+    for _ in range(_HEU_TRIES):
+        ff, gg = evaluate(f, xi), evaluate(g, xi)
+        if ff != zero and gg != zero:
+            h = primitive(digits(gcd(ff, gg), xi))
+            if len(h) == 1:
+                return f, g
+            a = divide(f, h)
+            b = divide(g, h) if a is not None else None
+            if b is not None:
+                return a, b
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _rem_mod_p(a: list, b: list, p: int) -> list:
+    a = list(a)
+    inv, db = pow(b[-1], -1, p), len(b) - 1
+    while len(a) > db:
+        c = a.pop() * inv % p
+        if c:
+            off = len(a) - db
+            for j in range(db):
+                a[off + j] = (a[off + j] - c * b[j]) % p
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _coprime_mod_p(a: list, b: list, gaussian: bool) -> bool:
+    """Certify that a and b share no factor of positive degree over Q(i).
+
+    Under i -> _SCREEN_ROOT mod p, a common factor over Z[i] keeps its degree
+    whenever neither leading coefficient vanishes, so a constant gcd of the
+    images certifies coprimality.  False means only that nothing was
+    certified."""
+    if len(a) == 1 or len(b) == 1:
+        return True
+    p, s = _SCREEN_PRIME, _SCREEN_ROOT
+    if gaussian:
+        if s is None:
+            return False
+        a = [(re + s * im) % p for re, im in a]
+        b = [(re + s * im) % p for re, im in b]
+    else:
+        a = [c % p for c in a]
+        b = [c % p for c in b]
+    if not a[-1] or not b[-1]:
+        return False
+    while b:
+        a, b = b, _rem_mod_p(a, b, p)
+    return len(a) == 1
+
+
+def _integer_poly(p: tuple, gaussian: bool) -> tuple:
+    """(coefficients, scale) with p = scale * coefficients, the coefficients
+    primitive ints, or (re, im) int pairs when gaussian."""
+    lcm = 1
+    for c in p:
+        lcm = math.lcm(lcm, c.re.denominator, c.im.denominator)
+    if gaussian:
+        coeffs = [(c.re.numerator * (lcm // c.re.denominator),
+                   c.im.numerator * (lcm // c.im.denominator)) for c in p]
+        content = math.gcd(*(x for c in coeffs for x in c))
+        return [(re // content, im // content) for re, im in coeffs], Fraction(content, lcm)
+    coeffs = [c.re.numerator * (lcm // c.re.denominator) for c in p]
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs], Fraction(content, lcm)
+
+
+def _ratio(n: int, d: int):
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _heu_reduce(num: tuple, den: tuple) -> tuple | None:
+    """Canonical (num, den) of num/den by integer arithmetic, or None when
+    the heuristic gives up or the certificate fails."""
+    gaussian = any(c.im for c in num) or any(c.im for c in den)
+    f, sf = _integer_poly(num, gaussian)
+    g, sg = _integer_poly(den, gaussian)
+    cofactors = _heu_cofactors(f, g, _ZI_OPS if gaussian else _Z_OPS)
+    if cofactors is None or not _coprime_mod_p(*cofactors, gaussian):
+        return None
+    a, b = cofactors
+    # num/den = (a/b) * r; divide both by the leading coefficient of b
+    r = sf / sg
+    if gaussian:
+        lr, li = b[-1]
+        n = lr * lr + li * li
+        mr, mi = lr * r.numerator, -li * r.numerator
+        d = n * r.denominator
+        num = tuple(QI(_ratio(re * mr - im * mi, d), _ratio(re * mi + im * mr, d))
+                    for re, im in a)
+        den = tuple(QI(_ratio(re * lr + im * li, n), _ratio(im * lr - re * li, n))
+                    for re, im in b)
+    else:
+        lead = b[-1]
+        m, d = r.numerator, lead * r.denominator
+        num = tuple(QI(_ratio(c * m, d), 0) for c in a)
+        den = tuple(QI(_ratio(c, lead), 0) for c in b)
+    return num, den
+
+
 def _pval(a: tuple) -> int:
     """Order of vanishing at v = 0."""
     for k, x in enumerate(a):
@@ -367,16 +635,7 @@ class FieldElem:
                 den = _pscale(den, inv)
             self.num, self.den = num, den
             return
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
-        lead = den[-1]
-        if lead != _QI_ONE:
-            inv = lead.inverse()
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
-        self.num, self.den = num, den
+        self.num, self.den = _heu_reduce(num, den) or _euclid_reduce(num, den)
 
     # -- ring structure -------------------------------------------------
 

@@ -187,19 +187,27 @@ CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 @pytest.mark.parametrize("argv", [
-    ["ai1.json", "--c", "1"],
-    ["ai1.json", "--s", "1"],
+    ["characters", "ai1.json", "--c", "1"],
+    ["characters", "ai1.json", "--s", "1"],
     # nodes that are not white were silently dropped
-    ["ai1.json", "--c", "1=-q^-2", "--c", "5=q", "--weight", "2"],
-    ["ai1.json", "--c", "1=-q^-2", "--c", "0=q", "--weight", "2"],
-    ["aii3_sl4.json", "--c", "1=7", "--c", "2=q", "--weight", "0,1,0"],
-    ["aii3_sl4.json", "--c", "2=q", "--s", "3=1", "--weight", "0,1,0"],
+    ["characters", "ai1.json", "--c", "1=-q^-2", "--c", "5=q", "--weight", "2"],
+    ["characters", "ai1.json", "--c", "1=-q^-2", "--c", "0=q", "--weight", "2"],
+    ["characters", "aii3_sl4.json", "--c", "1=7", "--c", "2=q", "--weight", "0,1,0"],
+    ["characters", "aii3_sl4.json", "--c", "2=q", "--s", "3=1", "--weight", "0,1,0"],
+    # --s without --c, and --c/--s on checks that never read them, were ignored
+    ["characters", "ai1.json", "--s", "1=5", "--weight", "2"],
+    ["validate", "ai1.json", "--c", "1=garbage"],
+    ["module", "ai1.json", "--c", "5=q", "--c", "1=garbage", "--weight", "1"],
+    ["module", "ai1.json", "--s", "1=1", "--weight", "1"],
+    ["table1", None, "--c", "1=q"],
+    ["examples", None, "aiii-sl3", "--s", "1=1"],
 ], ids=["--c", "--s", "c-out-of-range", "c-node-zero", "c-black-node",
-        "s-black-node"])
+        "s-black-node", "s-without-c", "validate-c", "module-c", "module-s",
+        "table1-c", "examples-s"])
 def test_malformed_parameter_flag_honours_out(tmp_path, capsys, argv):
     out = tmp_path / "report.json"
-    code = main(["characters", "--config", str(CONFIGS / argv[0])] + argv[1:]
-                + ["--out", str(out)])
+    config = ["--config", str(CONFIGS / argv[1])] if argv[1] else []
+    code = main([argv[0]] + config + argv[2:] + ["--out", str(out)])
     assert code == EXIT_INPUT_ERROR
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text())

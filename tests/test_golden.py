@@ -42,8 +42,7 @@ CASES = (
          ["module"] + _config("aiii3_sl4") + _weights("0,1,0")),
         ("module_aiii3_sl4_weight101",
          ["module"] + _config("aiii3_sl4") + _weights("1,0,1")),
-        ("module_aii3_sl4",
-         ["module"] + _config("aii3_sl4") + ["--c", "2=q"] + _weights("0,2,0")),
+        ("module_aii3_sl4", ["module"] + _config("aii3_sl4") + _weights("0,2,0")),
         ("characters_ai1", ["characters"] + _config("ai1") + ["--c", "1=-q^-2"]
          + _weights("0", "2", "4")),
         ("characters_aiii_sl3", ["characters"] + _config("aiii_sl3") + HALF

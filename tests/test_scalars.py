@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 
+import qspherical.scalars as scalars
 from qspherical.scalars import (Field, FieldElem, QI, UnrepresentableScalar,
                                 parse_scalar)
 
@@ -169,3 +170,89 @@ def test_field_sqrt_round_trip(a):
     assert root is not None
     assert root * root == sq
     assert not frac_of(root) - frac_of(a) or not frac_of(root) + frac_of(a)
+
+
+# -- the integer reduction against sympy ----------------------------------
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def planted_fractions(draw):
+    """(A*G, B*G) for random A, B and a planted common factor G of positive
+    degree, with real or Gaussian rational coefficients; degrees up to 27."""
+    im = st.just(0) if draw(st.booleans()) else rationals
+    coeff = st.builds(QI, rationals, im)
+
+    def poly(low, high):
+        body = draw(st.lists(coeff, min_size=low, max_size=high))
+        return tuple(body) + (draw(coeff.filter(bool)),)
+
+    g, a, b = poly(1, 10), poly(0, 16), poly(1, 16)
+    return scalars._pmul(a, g), scalars._pmul(b, g)
+
+
+def _qq_i_poly(p):
+    """p as an element of sympy's QQ_I[v]."""
+    return QIV.field.ring.from_list([QQ_I(QQ(c.re), QQ(c.im)) for c in reversed(p)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_fractions())
+def test_reduction_matches_qq_i_oracle(pair):
+    num, den = pair
+    x = FieldElem(F, num, den)
+    assert x.den[-1] == QI(1)
+    assert _qq_i_poly(x.num).gcd(_qq_i_poly(x.den)).degree() == 0
+    value = QIV.field(_qq_i_poly(num)) / QIV.field(_qq_i_poly(den))
+    assert not QIV.field(_qq_i_poly(x.num)) / QIV.field(_qq_i_poly(x.den)) - value
+
+
+def _fallback_calls(mp):
+    calls = []
+    euclid = scalars._euclid_reduce
+
+    def spy(num, den):
+        calls.append((num, den))
+        return euclid(num, den)
+
+    mp.setattr(scalars, "_euclid_reduce", spy)
+    return calls
+
+
+@settings(max_examples=15, deadline=None)
+@given(planted_fractions())
+def test_heuristic_give_up_falls_back_to_euclid(pair):
+    expected = FieldElem(F, *pair)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _fallback_calls(mp)
+        mp.setattr(scalars, "_HEU_TRIES", 0)
+        x = FieldElem(F, *pair)
+    assert calls
+    assert (x.num, x.den) == (expected.num, expected.den)
+    assert x.serialize() == expected.serialize()
+
+
+@settings(max_examples=15, deadline=None)
+@given(planted_fractions())
+def test_failed_certificate_falls_back_to_euclid(pair):
+    expected = FieldElem(F, *pair)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _fallback_calls(mp)
+        mp.setattr(scalars, "_coprime_mod_p", lambda a, b, gaussian: False)
+        x = FieldElem(F, *pair)
+    assert calls
+    assert (x.num, x.den) == (expected.num, expected.den)
+    assert x.serialize() == expected.serialize()
+
+
+def test_coprimality_certificate():
+    p = scalars._SCREEN_PRIME
+    # (v + 1)(v + 2) and (v + 1); v + 1 and v + 2
+    assert not scalars._coprime_mod_p([2, 3, 1], [1, 1], False)
+    assert scalars._coprime_mod_p([1, 1], [2, 1], False)
+    # (v - i)(v + 1) and v - i share v - i; v - i and v + i do not
+    assert not scalars._coprime_mod_p([(0, -1), (1, -1), (1, 0)], [(0, -1), (1, 0)], True)
+    assert scalars._coprime_mod_p([(0, -1), (1, 0)], [(0, 1), (1, 0)], True)
+    # coprime over Q, but the leading coefficient p vanishes mod p: no certificate
+    assert not scalars._coprime_mod_p([1, p], [2, 1], False)
