@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import zip_longest
 
 
 class UnrepresentableScalar(Exception):
@@ -330,9 +331,7 @@ def _zi_quo(a: tuple, b: tuple) -> tuple | None:
 
 
 def _zi_digits(h: tuple, x: int) -> list:
-    re, im = _z_digits(h[0], x), _z_digits(h[1], x)
-    n = max(len(re), len(im))
-    return list(zip(re + [0] * (n - len(re)), im + [0] * (n - len(im))))
+    return list(zip_longest(_z_digits(h[0], x), _z_digits(h[1], x), fillvalue=0))
 
 
 def _zi_primitive(h: list) -> list:
