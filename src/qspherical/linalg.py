@@ -4,10 +4,11 @@ Matrices are lists of lists of FieldElem.  Pivoting is always by input order
 (first nonzero), never by magnitude, so every result is deterministic.
 
 There is one elimination kernel, `_echelonize`.  Each row is first cleared
-of denominators to polynomials over the Gaussian integers Z[i][v], then rows
-are eliminated fraction-free by cross multiplication, with the content
-stripped after every update; coefficient growth stays determinant-sized
-instead of letting rational-function gcds blow up.
+of denominators to polynomials over Z[v], or over the Gaussian integers
+Z[i][v] when some entry of the matrix is not real, then rows are eliminated
+fraction-free by cross multiplication, with the content stripped after every
+update; coefficient growth stays determinant-sized instead of letting
+rational-function gcds blow up.
 
 `column_relations` is the one place that decides which columns of a matrix
 depend on earlier ones: it reads the relation of each non-pivot column off
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 import math
 
-from .scalars import QI, Field, FieldElem
-from .scalars import _pmul, _psub_poly, _QI_ONE, _SCREEN_PRIME, _SCREEN_ROOT
+from .scalars import Field, FieldElem
+from .scalars import _SCREEN_PRIME, _SCREEN_ROOT, _Z, _ZI, _pairs, _val
 
 
 def zeros(rows: int, cols: int, field: Field) -> list:
@@ -131,16 +132,14 @@ def _solve_columns(a: list, b: list) -> list | None:
     """
     n = len(a[0])
     field = a[0][0].field
-    rows = [_clear_denominators(list(ra) + [-x for x in rb])
-            for ra, rb in zip(a, b)]
-    rows = [row for row in rows if any(row)]
+    rows, ring = _integer_rows([list(ra) + [-x for x in rb] for ra, rb in zip(a, b)])
     ncols = n + len(b[0])
-    pivots = _echelonize(rows, ncols)
+    pivots = _echelonize(rows, ncols, ring)
     if pivots and pivots[-1] >= n:
         return None
     if len(pivots) < n:
         raise ValueError("the solution is not unique")
-    return [_kernel_vector(rows, pivots, free, ncols, field)[:n]
+    return [_kernel_vector(rows, pivots, free, ncols, field, ring)[:n]
             for free in range(n, ncols)]
 
 
@@ -153,13 +152,12 @@ def column_relations(a: list, ncols: int, field: Field) -> dict:
     of the column space.  A modular evaluation certifies full-rank systems
     first, so independent columns cost almost nothing.
     """
-    rows = [_clear_denominators(row) for row in a]
-    rows = [row for row in rows if any(row)]
-    if _modular_rank(rows, ncols) == ncols:
+    rows, ring = _integer_rows(a)
+    if _modular_rank(rows, ncols, ring) == ncols:
         return {}
-    pivots = _echelonize(rows, ncols)
+    pivots = _echelonize(rows, ncols, ring)
     pivot_set = set(pivots)
-    return {free: _kernel_vector(rows, pivots, free, ncols, field)
+    return {free: _kernel_vector(rows, pivots, free, ncols, field, ring)
             for free in range(ncols) if free not in pivot_set}
 
 
@@ -168,7 +166,7 @@ def nullspace(a: list, ncols: int, field: Field) -> list:
     return list(column_relations(a, ncols, field).values())
 
 
-def _echelonize(rows: list, ncols: int) -> list:
+def _echelonize(rows: list, ncols: int, ring) -> list:
     """Fraction-free forward elimination of polynomial rows, in place.
 
     Pivots are the first nonzero entries in input order.  Each row below a
@@ -176,6 +174,7 @@ def _echelonize(rows: list, ncols: int) -> list:
     multiple pivot * row - entry * pivot_row and stripped of its content.
     Returns the pivot column of each leading row.
     """
+    pmul, padd, pneg = ring.pmul, ring.padd, ring.pneg
     pivots = []
     r = 0
     for col in range(ncols):
@@ -192,20 +191,21 @@ def _echelonize(rows: list, ncols: int) -> list:
                 continue
             newrow = []
             for j in range(ncols):
-                term = _pmul(pivot_val, row[j]) if row[j] else ()
+                term = pmul(pivot_val, row[j]) if row[j] else ()
                 if prow[j]:
-                    term = _psub_poly(term, _pmul(rk_col, prow[j]))
+                    term = padd(term, pneg(pmul(rk_col, prow[j])))
                 newrow.append(term)
-            rows[k] = _strip_row_content(newrow)
+            rows[k] = _strip_row_content(newrow, ring)
         pivots.append(col)
         r += 1
     return pivots
 
 
 def _kernel_vector(rows: list, pivots: list, free: int, ncols: int,
-                   field: Field) -> list:
+                   field: Field, ring) -> list:
     """Back substitution through echelon rows: the kernel vector whose free
     column `free` is one and whose other free columns are zero."""
+    one = (ring.one,)
     vec = [field.zero] * ncols
     vec[free] = field.one
     for k in range(len(pivots) - 1, -1, -1):
@@ -214,68 +214,64 @@ def _kernel_vector(rows: list, pivots: list, free: int, ncols: int,
         row = rows[k]
         for j in range(pc + 1, ncols):
             if row[j] and vec[j]:
-                acc = acc + FieldElem(field, row[j], (_QI_ONE,)) * vec[j]
+                acc = acc + FieldElem(field, row[j], one) * vec[j]
         if acc:
-            vec[pc] = -acc / FieldElem(field, row[pc], (_QI_ONE,))
+            vec[pc] = -acc / FieldElem(field, row[pc], one)
     return vec
 
 
-def _clear_denominators(row) -> list:
-    """Scale a FieldElem row to polynomials over the Gaussian integers by one
-    common multiple (the other entries' denominators times the lcm of the
-    rational coefficient denominators), then strip its content."""
+def _integer_rows(a: list) -> tuple:
+    """The nonzero rows of a FieldElem matrix cleared of denominators, all
+    over Z, or all over Z[i] when some entry is not real; and that ring."""
+    ring = _ZI if any(type(x.den[0]) is tuple for row in a for x in row) else _Z
+    rows = [_clear_denominators(row, ring) for row in a]
+    return [row for row in rows if any(row)], ring
+
+
+def _clear_denominators(row, ring) -> list:
+    """Scale a FieldElem row to polynomials over the ring: each numerator
+    times the other entries' denominators; then strip its content."""
+    lift = _pairs if ring is _ZI else tuple
+    one = (ring.one,)
     dens = []
     for x in row:
-        if x.num and x.den != (_QI_ONE,) and x.den not in dens:
-            dens.append(x.den)
+        den = lift(x.den)
+        if x.num and den != one and den not in dens:
+            dens.append(den)
     out = []
-    lcm = 1
     for x in row:
-        poly = x.num
+        poly = lift(x.num)
         if poly:
+            den = lift(x.den)
             for d in dens:
-                if d != x.den:
-                    poly = _pmul(poly, d)
-            for c in poly:
-                lcm = math.lcm(lcm, c.re.denominator, c.im.denominator)
+                if d != den:
+                    poly = ring.pmul(poly, d)
         out.append(poly)
-    out = [tuple(QI(int(c.re * lcm), int(c.im * lcm)) for c in poly)
-           for poly in out]
-    return _strip_row_content(out)
+    return _strip_row_content(out, ring)
 
 
-def _strip_row_content(row) -> list:
-    """Divide a Gaussian-integer polynomial row by its common v-power and
-    integer content."""
-    shift = None
-    for poly in row:
-        if poly:
-            val = next(k for k, c in enumerate(poly) if c)
-            shift = val if shift is None else min(shift, val)
-            if shift == 0:
-                break
+def _strip_row_content(row, ring) -> list:
+    """Divide a polynomial row by its common v-power and integer content."""
+    shift = min((_val(poly, ring.zero) for poly in row if poly), default=0)
     if shift:
         row = [poly[shift:] for poly in row]
     content = 0
     for poly in row:
-        for c in poly:
-            content = math.gcd(content, c.re, c.im)
-            if content == 1:
-                return list(row)
+        content = math.gcd(content, *(poly if ring is _Z else
+                                      (x for c in poly for x in c)))
+        if content == 1:
+            return list(row)
     if content > 1:
-        row = [tuple(QI(c.re // content, c.im // content) for c in poly)
-               for poly in row]
+        content = content if ring is _Z else (content, 0)
+        row = [tuple(ring.quo(c, content) for c in poly) for poly in row]
     return list(row)
 
 
-def _modular_rank(rows, ncols: int) -> int | None:
-    """Rank of Gaussian-integer polynomial rows at a fixed point mod p, or
-    None if no square root of -1 was found.  Evaluation is a ring map, so a
-    full modular rank certifies full rank; a lower one decides nothing."""
-    p = _SCREEN_PRIME
-    s = _SCREEN_ROOT
-    if s is None:
-        return None
+def _modular_rank(rows, ncols: int, ring) -> int:
+    """Rank of integer polynomial rows at a fixed point mod p.  Evaluation
+    (with i -> a square root of -1) is a ring map, so a full modular rank
+    certifies full rank; a lower one decides nothing."""
+    p, s = _SCREEN_PRIME, _SCREEN_ROOT
     t = 987654323 % p
     work = []
     for row in rows:
@@ -283,8 +279,8 @@ def _modular_rank(rows, ncols: int) -> int | None:
         for poly in row:
             acc = 0
             power = 1
-            for c in poly:
-                acc = (acc + (c.re + c.im * s) * power) % p
+            for c in (poly if ring is _Z else (re + im * s for re, im in poly)):
+                acc = (acc + c * power) % p
                 power = power * t % p
             mrow.append(acc)
         work.append(mrow)

@@ -1,24 +1,29 @@
 """Exact arithmetic in Q(i)(v) with v**d = q.
 
-Every scalar in this package is a rational function in a fixed root v of q,
-with Gaussian-rational coefficients.  Elements are kept in a canonical form
-(reduced fraction, monic denominator) so that equality is plain structural
-comparison.  The bar involution maps v to 1/v and fixes i.
+Every scalar in this package is a rational function in a fixed root v of q.
+It is stored as a reduced fraction num/den of polynomials in v over Z when
+every coefficient is real, else over the Gaussian integers Z[i]: tuples of
+ints, or of (re, im) int pairs, lowest degree first.  The canonical form has
+joint content one (a unit over Z[i]) and lc(den) positive (over Z[i], in the
+quadrant re > 0, im >= 0), so equality is plain structural comparison.  The
+bar involution maps v to 1/v and fixes i.
 
-A fraction is reduced in integer arithmetic: numerator and denominator are
-scaled to polynomials over Z (or Z[i]), a common factor is found by the
-heuristic GCD, and it is accepted only if it divides both exactly and the
-cofactors are certified coprime modulo a prime p = 1 (mod 4).  The
-certificate only ever confirms; when the heuristic gives up or a check
-fails, Euclid over Q(i) reduces the fraction instead.
+A fraction is reduced by the heuristic GCD; the common factor it proposes is
+accepted only if it divides both exactly and the cofactors are certified
+coprime modulo a prime p = 1 (mod 4).  The certificate only ever confirms;
+when the heuristic gives up or a check fails, a primitive PRS gcd reduces
+the fraction instead.  The Gaussian rational `QI` is the coefficient type of
+parsing, printing, monomial coefficients and square roots only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from itertools import zip_longest
+from types import SimpleNamespace
 
 
 class UnrepresentableScalar(Exception):
@@ -41,17 +46,13 @@ def _frac_sqrt(x) -> Fraction | None:
 
 
 class QI:
-    """A Gaussian rational a + b*i.
-
-    Parts stay native ints whenever possible; Fractions only appear after
-    genuine divisions, which keeps the inner arithmetic fast.
-    """
+    """A Gaussian rational a + b*i; each part is an int or a Fraction."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is int else Fraction(re)
-        self.im = im if type(im) is int else Fraction(im)
+        self.re = re if type(re) is int or type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is int or type(im) is Fraction else Fraction(im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -136,132 +137,139 @@ class QI:
     __repr__ = __str__
 
 
-_QI_ZERO = QI(0, 0)
 _QI_ONE = QI(1, 0)
 
 
-# Polynomials in v are tuples of QI coefficients, lowest degree first,
-# trimmed of trailing zeros.  The zero polynomial is the empty tuple.
+def _qi(c, d=1) -> QI:
+    """The coefficient c / d as a QI, for c and d ints or (re, im) pairs."""
+    if type(d) is tuple:
+        c, d = _zi_times(_pairs((c,))[0], (d[0], -d[1])), d[0] * d[0] + d[1] * d[1]
+    if type(c) is tuple:
+        return QI(Fraction(c[0], d), Fraction(c[1], d))
+    return QI(Fraction(c, d))
 
-def _ptrim(c: list) -> tuple:
-    n = len(c)
-    while n and not c[n - 1]:
+
+def _clear_qi(coeffs) -> tuple:
+    """(poly, (L,)) with coeffs = poly / L, L the least positive common
+    denominator; both in int form, or in pair form if some c is not real."""
+    lcm = 1
+    for c in coeffs:
+        lcm = math.lcm(lcm, c.re.denominator, c.im.denominator)
+    re = tuple(c.re.numerator * (lcm // c.re.denominator) for c in coeffs)
+    if not any(c.im for c in coeffs):
+        return re, (lcm,)
+    im = (c.im.numerator * (lcm // c.im.denominator) for c in coeffs)
+    return tuple(zip(re, im)), ((lcm, 0),)
+
+
+# -- polynomials over Z and Z[i] -----------------------------------------
+#
+# A polynomial is a tuple of coefficients, lowest degree first, trimmed of
+# trailing zeros; the zero polynomial is the empty tuple.  Over Z the
+# coefficients are ints, over Z[i] (re, im) int pairs.  Products are
+# schoolbook loops over the nonzero coefficients: the coefficients here are
+# small and the polynomials sparse.
+
+def _trim(p, zero) -> tuple:
+    n = len(p)
+    while n and p[n - 1] == zero:
         n -= 1
-    return tuple(c[:n])
+    return tuple(p[:n])
 
 
-def _padd(a: tuple, b: tuple) -> tuple:
+def _val(p: tuple, zero) -> int:
+    """Order of vanishing at v = 0 of a nonzero polynomial."""
+    k = 0
+    while p[k] == zero:
+        k += 1
+    return k
+
+
+def _pairs(p: tuple) -> tuple:
+    """A polynomial in pair form."""
+    return p if not p or type(p[0]) is tuple else tuple((c, 0) for c in p)
+
+
+def _z_mul(a: tuple, b: tuple) -> tuple:
+    if len(a) > len(b):
+        a, b = b, a
+    if a == (1,):
+        return b
+    out = [0] * (len(a) + len(b) - 1)
+    nz = [(k, y) for k, y in enumerate(b) if y]
+    for j, x in enumerate(a):
+        if x:
+            for k, y in nz:
+                out[j + k] += x * y
+    return tuple(out)
+
+
+def _zi_mul(a: tuple, b: tuple) -> tuple:
+    if len(a) > len(b):
+        a, b = b, a
+    if a == ((1, 0),):
+        return b
+    n = len(a) + len(b) - 1
+    re, im = [0] * n, [0] * n
+    nz = [(k, c, d) for k, (c, d) in enumerate(b) if c or d]
+    for j, (x, y) in enumerate(a):
+        if x or y:
+            for k, c, d in nz:
+                re[j + k] += x * c - y * d
+                im[j + k] += x * d + y * c
+    return tuple(zip(re, im))
+
+
+def _z_add(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for k, x in enumerate(b):
-        out[k] = out[k] + x
-    return _ptrim(out)
+    out = [x + y for x, y in zip(a, b)]
+    out += a[len(b):]
+    return _trim(out, 0)
 
 
-def _pneg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
+def _zi_add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(x + u, y + w) for (x, y), (u, w) in zip(a, b)]
+    out += a[len(b):]
+    return _trim(out, (0, 0))
 
 
-def _pmul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [_QI_ZERO] * (len(a) + len(b) - 1)
-    for j, x in enumerate(a):
-        if not x:
-            continue
-        for k, y in enumerate(b):
-            if y:
-                out[j + k] = out[j + k] + x * y
-    return _ptrim(out)
+def _zi_times(a: tuple, b: tuple) -> tuple:
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _pscale(a: tuple, s: QI) -> tuple:
-    if not s:
-        return ()
-    return tuple(x * s for x in a)
+def _zi_unit(z: tuple) -> tuple:
+    """The unit u with u*z in the quadrant re > 0, im >= 0."""
+    for u in ((1, 0), (0, -1), (-1, 0), (0, 1)):
+        re, im = _zi_times(u, z)
+        if re > 0 and im >= 0:
+            return u
 
 
-def _psub_poly(a: tuple, b: tuple) -> tuple:
-    return _padd(a, _pneg(b))
+def _scale(p: tuple, c, ring) -> tuple:
+    return p if c == ring.one else tuple(ring.times(c, x) for x in p)
 
 
-def _pdivmod(a: tuple, b: tuple) -> tuple:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db, lb = len(b) - 1, b[-1]
-    lbinv = lb.inverse()
-    quo = [_QI_ZERO] * max(0, len(a) - db)
-    while len(rem) - 1 >= db and any(rem):
-        while rem and not rem[-1]:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        k = len(rem) - 1 - db
-        c = rem[-1] * lbinv
-        quo[k] = c
-        for off in range(db + 1):
-            rem[k + off] = rem[k + off] - c * b[off]
-        rem.pop()
-    return _ptrim(quo), _ptrim(rem)
-
-
-def _pgcd(a: tuple, b: tuple) -> tuple:
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-        if a and a[-1] != _QI_ONE:
-            a = _pscale(a, a[-1].inverse())
-    if a and a[-1] != _QI_ONE:
-        a = _pscale(a, a[-1].inverse())
-    return a
-
-
-def _euclid_reduce(num: tuple, den: tuple) -> tuple:
-    """Canonical (num, den) of num/den by Euclid over Q(i): the exact fallback
-    of the integer reduction."""
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num, _ = _pdivmod(num, g)
-        den, _ = _pdivmod(den, g)
-    lead = den[-1]
-    if lead != _QI_ONE:
-        inv = lead.inverse()
-        num = _pscale(num, inv)
-        den = _pscale(den, inv)
-    return num, den
-
-
-# -- integer reduction ---------------------------------------------------
+# -- the heuristic GCD ------------------------------------------------------
 #
-# num and den are scaled to coefficient lists over Z (ints) or, when either
-# is not real, over Z[i] ((re, im) int pairs), lowest degree first.  The
-# heuristic GCD (Char, Geddes and Gonnet 1989, "GCDHEU"; sympy's
-# dup_zz_heu_gcd) evaluates both at an integer xi, takes one gcd of the two
-# values and reads a candidate common factor off the symmetric base-xi digits
-# of that gcd.  The candidate is accepted only if it divides both exactly and
-# the two cofactors are certified coprime modulo the screen prime.
+# GCDHEU (Char, Geddes and Gonnet 1989; sympy's dup_zz_heu_gcd) evaluates
+# both polynomials at an integer xi, takes one gcd of the two values and
+# reads a candidate common factor off the symmetric base-xi digits of that
+# gcd.  The candidate is accepted only if it divides both exactly and the
+# two cofactors are certified coprime modulo the screen prime.
 
 _SCREEN_PRIME = 1000000009
-
-
-def _imaginary_unit_mod():
-    p = _SCREEN_PRIME
-    for g in range(2, 50):
-        s = pow(g, (p - 1) // 4, p)
-        if s * s % p == p - 1:
-            return s
-    return None
-
-
-# p = 1 mod 4, so i -> _SCREEN_ROOT is a ring map Z[i] -> GF(p)
-_SCREEN_ROOT = _imaginary_unit_mod()
+# p = 1 mod 4 and 11 is not a square mod p, so 11^((p-1)/4) is a square root
+# of -1 and i -> _SCREEN_ROOT is a ring map Z[i] -> GF(p)
+_SCREEN_ROOT = pow(11, (_SCREEN_PRIME - 1) // 4, _SCREEN_PRIME)
 
 _HEU_TRIES = 6
 
 
-def _z_eval(f: list, x: int) -> int:
+def _z_eval(f: tuple, x: int) -> int:
     acc = 0
     for c in reversed(f):
         acc = acc * x + c
@@ -280,12 +288,7 @@ def _z_digits(h: int, x: int) -> list:
     return out
 
 
-def _z_primitive(h: list) -> list:
-    content = math.gcd(*h)
-    return [c // content for c in h]
-
-
-def _z_divide(f: list, h: list) -> list | None:
+def _z_divide(f: tuple, h: tuple) -> tuple | None:
     """f / h if h divides f exactly in Z[v], else None."""
     dh = len(h) - 1
     nq = len(f) - dh
@@ -300,10 +303,10 @@ def _z_divide(f: list, h: list) -> list | None:
             quo[k] = c
             for j in range(dh):
                 rem[k + j] -= c * h[j]
-    return None if any(rem[:dh]) else quo
+    return None if any(rem[:dh]) else tuple(quo)
 
 
-def _zi_eval(f: list, x: int) -> tuple:
+def _zi_eval(f: tuple, x: int) -> tuple:
     re = im = 0
     for a, b in reversed(f):
         re, im = re * x + a, im * x + b
@@ -334,14 +337,17 @@ def _zi_digits(h: tuple, x: int) -> list:
     return list(zip_longest(_z_digits(h[0], x), _z_digits(h[1], x), fillvalue=0))
 
 
-def _zi_primitive(h: list) -> list:
+def _zi_content(p) -> tuple:
+    """A gcd in Z[i] of the coefficients; (1, 0) once it is a unit."""
     content = (0, 0)
-    for c in h:
+    for c in p:
         content = _zi_gcd(c, content)
-    return [_zi_quo(c, content) for c in h]
+        if content[0] * content[0] + content[1] * content[1] == 1:
+            return 1, 0
+    return content
 
 
-def _zi_divide(f: list, h: list) -> list | None:
+def _zi_divide(f: tuple, h: tuple) -> tuple | None:
     """f / h if h divides f exactly in Z[i][v], else None."""
     dh = len(h) - 1
     nq = len(f) - dh
@@ -358,31 +364,43 @@ def _zi_divide(f: list, h: list) -> list | None:
             for j in range(dh):
                 (rr, ri), (hr, hi) = rem[k + j], h[j]
                 rem[k + j] = (rr - cr * hr + ci * hi, ri - cr * hi - ci * hr)
-    return None if any(c != (0, 0) for c in rem[:dh]) else quo
+    return None if any(c != (0, 0) for c in rem[:dh]) else tuple(quo)
 
 
-# ring operations of the heuristic: zero, norm, eval, gcd, digits,
-# primitive part, exact division
-_Z_OPS = (0, lambda f: max(map(abs, f)), _z_eval, math.gcd, _z_digits,
-          _z_primitive, _z_divide)
-_ZI_OPS = ((0, 0), lambda f: max(max(abs(re), abs(im)) for re, im in f),
-           _zi_eval, _zi_gcd, _zi_digits, _zi_primitive, _zi_divide)
+# The coefficient rings: constants, coefficient operations (content, exact
+# quotient, product, the unit that normalizes a leading coefficient) and the
+# polynomial operations the heuristic and the arithmetic need.
+_Z = SimpleNamespace(
+    zero=0, one=1, norm=lambda f: max(map(abs, f)), eval=_z_eval, gcd=math.gcd,
+    content=lambda p: math.gcd(*p), quo=operator.floordiv, times=operator.mul,
+    unit=lambda c: 1 if c > 0 else -1, digits=_z_digits, divide=_z_divide,
+    pmul=_z_mul, padd=_z_add, pneg=lambda a: tuple(-x for x in a))
+_ZI = SimpleNamespace(
+    zero=(0, 0), one=(1, 0), norm=lambda f: max(max(abs(re), abs(im)) for re, im in f),
+    eval=_zi_eval, gcd=_zi_gcd, content=_zi_content, quo=_zi_quo, times=_zi_times,
+    unit=_zi_unit, digits=_zi_digits, divide=_zi_divide,
+    pmul=_zi_mul, padd=_zi_add, pneg=lambda a: tuple((-x, -y) for x, y in a))
 
 
-def _heu_cofactors(f: list, g: list, ops: tuple) -> tuple | None:
+def _primitive(p: tuple, ring) -> tuple:
+    """(content, primitive part) of a nonzero polynomial."""
+    c = ring.content(p)
+    return (c, p) if c == ring.one else (c, tuple(ring.quo(x, c) for x in p))
+
+
+def _heu_cofactors(f: tuple, g: tuple, ring) -> tuple | None:
     """(f/h, g/h) for a common factor h of f and g that the heuristic finds
     and that divides both exactly, or None if it gives up."""
-    zero, norm, evaluate, gcd, digits, primitive, divide = ops
     # xi >= 2 min(|f|, |g|) + 2 makes an exact common divisor the gcd
-    xi = 2 * min(norm(f), norm(g)) + 29
+    xi = 2 * min(ring.norm(f), ring.norm(g)) + 29
     for _ in range(_HEU_TRIES):
-        ff, gg = evaluate(f, xi), evaluate(g, xi)
-        if ff != zero and gg != zero:
-            h = primitive(digits(gcd(ff, gg), xi))
+        ff, gg = ring.eval(f, xi), ring.eval(g, xi)
+        if ff != ring.zero and gg != ring.zero:
+            h = _primitive(ring.digits(ring.gcd(ff, gg), xi), ring)[1]
             if len(h) == 1:
                 return f, g
-            a = divide(f, h)
-            b = divide(g, h) if a is not None else None
+            a = ring.divide(f, h)
+            b = ring.divide(g, h) if a is not None else None
             if b is not None:
                 return a, b
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
@@ -403,7 +421,7 @@ def _rem_mod_p(a: list, b: list, p: int) -> list:
     return a
 
 
-def _coprime_mod_p(a: list, b: list, gaussian: bool) -> bool:
+def _coprime_mod_p(a: tuple, b: tuple, gaussian: bool) -> bool:
     """Certify that a and b share no factor of positive degree over Q(i).
 
     Under i -> _SCREEN_ROOT mod p, a common factor over Z[i] keeps its degree
@@ -414,13 +432,8 @@ def _coprime_mod_p(a: list, b: list, gaussian: bool) -> bool:
         return True
     p, s = _SCREEN_PRIME, _SCREEN_ROOT
     if gaussian:
-        if s is None:
-            return False
-        a = [(re + s * im) % p for re, im in a]
-        b = [(re + s * im) % p for re, im in b]
-    else:
-        a = [c % p for c in a]
-        b = [c % p for c in b]
+        a, b = ([re + s * im for re, im in x] for x in (a, b))
+    a, b = [c % p for c in a], [c % p for c in b]
     if not a[-1] or not b[-1]:
         return False
     while b:
@@ -428,85 +441,67 @@ def _coprime_mod_p(a: list, b: list, gaussian: bool) -> bool:
     return len(a) == 1
 
 
-def _integer_poly(p: tuple, gaussian: bool) -> tuple:
-    """(coefficients, scale) with p = scale * coefficients, the coefficients
-    primitive ints, or (re, im) int pairs when gaussian."""
-    lcm = 1
-    for c in p:
-        lcm = math.lcm(lcm, c.re.denominator, c.im.denominator)
-    if gaussian:
-        coeffs = [(c.re.numerator * (lcm // c.re.denominator),
-                   c.im.numerator * (lcm // c.im.denominator)) for c in p]
-        content = math.gcd(*(x for c in coeffs for x in c))
-        return [(re // content, im // content) for re, im in coeffs], Fraction(content, lcm)
-    coeffs = [c.re.numerator * (lcm // c.re.denominator) for c in p]
-    content = math.gcd(*coeffs)
-    return [c // content for c in coeffs], Fraction(content, lcm)
+def _prs_gcd(f: tuple, g: tuple, ring) -> tuple:
+    """A gcd of two nonzero polynomials by the primitive PRS: pseudo-
+    remainders made primitive at every step (sympy's dup_rr_prs_gcd, with
+    primitive remainders in place of subresultants).  The exact fallback of
+    the heuristic."""
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r = f
+        while len(r) >= len(g):
+            top = (ring.zero,) * (len(r) - len(g)) + _scale(g, r[-1], ring)
+            r = ring.padd(_scale(r, g[-1], ring), ring.pneg(top))
+        f, g = g, (_primitive(r, ring)[1] if r else r)
+    return _primitive(f, ring)[1]
 
 
-def _ratio(n: int, d: int):
-    return n // d if n % d == 0 else Fraction(n, d)
-
-
-def _heu_reduce(num: tuple, den: tuple) -> tuple | None:
-    """Canonical (num, den) of num/den by integer arithmetic, or None when
-    the heuristic gives up or the certificate fails."""
-    gaussian = any(c.im for c in num) or any(c.im for c in den)
-    f, sf = _integer_poly(num, gaussian)
-    g, sg = _integer_poly(den, gaussian)
-    cofactors = _heu_cofactors(f, g, _ZI_OPS if gaussian else _Z_OPS)
-    if cofactors is None or not _coprime_mod_p(*cofactors, gaussian):
-        return None
-    a, b = cofactors
-    # num/den = (a/b) * r; divide both by the leading coefficient of b
-    r = sf / sg
-    if gaussian:
-        lr, li = b[-1]
-        n = lr * lr + li * li
-        mr, mi = lr * r.numerator, -li * r.numerator
-        d = n * r.denominator
-        num = tuple(QI(_ratio(re * mr - im * mi, d), _ratio(re * mi + im * mr, d))
-                    for re, im in a)
-        den = tuple(QI(_ratio(re * lr + im * li, n), _ratio(im * lr - re * li, n))
-                    for re, im in b)
-    else:
-        lead = b[-1]
-        m, d = r.numerator, lead * r.denominator
-        num = tuple(QI(_ratio(c * m, d), 0) for c in a)
-        den = tuple(QI(_ratio(c, lead), 0) for c in b)
+def _reduce(num: tuple, den: tuple) -> tuple:
+    """The canonical (num, den) of num/den, both in one form."""
+    ring = _ZI if den and type(den[0]) is tuple else _Z
+    zero = ring.zero
+    num, den = _trim(num, zero), _trim(den, zero)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return (), (1,)
+    shift = min(_val(num, zero), _val(den, zero))
+    if shift:
+        num, den = num[shift:], den[shift:]
+    cf, f = _primitive(num, ring)
+    cg, g = _primitive(den, ring)
+    if _val(den, zero) < len(den) - 1:
+        # den is not a monomial: cancel the common factor
+        cofactors = _heu_cofactors(f, g, ring)
+        if cofactors is None or not _coprime_mod_p(*cofactors, ring is _ZI):
+            h = _prs_gcd(f, g, ring)
+            cofactors = ring.divide(f, h), ring.divide(g, h)
+        f, g = cofactors
+    d = ring.gcd(cf, cg)
+    n, m = ring.quo(cf, d), ring.quo(cg, d)
+    u = ring.unit(ring.times(m, g[-1]))
+    num, den = _scale(f, ring.times(n, u), ring), _scale(g, ring.times(m, u), ring)
+    if ring is _ZI and not any(c[1] for c in num) and not any(c[1] for c in den):
+        return tuple(c[0] for c in num), tuple(c[0] for c in den)
     return num, den
 
 
-def _pval(a: tuple) -> int:
-    """Order of vanishing at v = 0."""
-    for k, x in enumerate(a):
-        if x:
-            return k
-    return 0
+def _with_unit_lead(num: tuple, den: tuple, ring) -> tuple:
+    """num and den times the unit that puts lc(den) in canonical position."""
+    u = ring.unit(den[-1])
+    return _scale(num, u, ring), _scale(den, u, ring)
 
 
-def _monic_poly_sqrt(q: tuple) -> tuple | None:
-    """Exact square root of a monic polynomial of even degree, or None."""
-    deg = len(q) - 1
-    if deg % 2:
-        return None
-    d = deg // 2
-    s = [_QI_ZERO] * (d + 1)
-    s[d] = _QI_ONE
-    half = QI(Fraction(1, 2))
-    for k in range(d - 1, -1, -1):
-        # match the coefficient of v^(d+k) in s^2: it is 2 s_k + cross terms
-        acc = _QI_ZERO
-        for a in range(k + 1, d):
-            b = d + k - a
-            if k < b < d:
-                acc = acc + s[a] * s[b]
-        target = q[d + k] if d + k < len(q) else _QI_ZERO
-        s[k] = (target - acc) * half
-    cand = _ptrim(s)
-    if _pmul(cand, cand) == _ptrim(list(q)):
-        return cand
-    return None
+def _ring_of(x: "FieldElem"):
+    return _ZI if type(x.den[0]) is tuple else _Z
+
+
+def _lift(x: "FieldElem", y: "FieldElem") -> tuple:
+    """The ring of x and y together, and their nums and dens in its form."""
+    if type(x.den[0]) is type(y.den[0]):
+        return _ring_of(x), x.num, x.den, y.num, y.den
+    return _ZI, _pairs(x.num), _pairs(x.den), _pairs(y.num), _pairs(y.den)
 
 
 class Field:
@@ -520,10 +515,10 @@ class Field:
         if root_order not in (1, 2, 4):
             raise ValueError("root_order must be 1, 2 or 4")
         self.root_order = root_order
-        self.zero = FieldElem(self, (), (_QI_ONE,), _normalized=True)
-        self.one = FieldElem(self, (_QI_ONE,), (_QI_ONE,), _normalized=True)
-        self.v = FieldElem(self, (_QI_ZERO, _QI_ONE), (_QI_ONE,), _normalized=True)
-        self.i = FieldElem(self, (QI(0, 1),), (_QI_ONE,), _normalized=True)
+        self.zero = FieldElem(self, (), (1,), _normalized=True)
+        self.one = FieldElem(self, (1,), (1,), _normalized=True)
+        self.v = FieldElem(self, (0, 1), (1,), _normalized=True)
+        self.i = FieldElem(self, ((0, 1),), ((1, 0),), _normalized=True)
         self.q = self.v ** root_order
         self._qint_cache = {}
         self._qfact_cache = {}
@@ -538,10 +533,14 @@ class Field:
         return f"Field(root_order={self.root_order})"
 
     def from_qi(self, c: QI) -> "FieldElem":
-        return FieldElem(self, (c,) if c else (), (_QI_ONE,), _normalized=True)
+        if not c:
+            return self.zero
+        return FieldElem(self, *_clear_qi((c,)))
 
     def rational(self, x) -> "FieldElem":
-        return self.from_qi(QI(Fraction(x)))
+        x = x if type(x) is int else Fraction(x)
+        return FieldElem(self, (x.numerator,) if x else (), (x.denominator,),
+                         _normalized=True)
 
     def coerce(self, x) -> "FieldElem":
         if isinstance(x, FieldElem):
@@ -556,8 +555,8 @@ class Field:
 
     def v_power(self, m: int) -> "FieldElem":
         if m >= 0:
-            return FieldElem(self, tuple([_QI_ZERO] * m + [_QI_ONE]), (_QI_ONE,))
-        return FieldElem(self, (_QI_ONE,), tuple([_QI_ZERO] * (-m) + [_QI_ONE]))
+            return FieldElem(self, (0,) * m + (1,), (1,), _normalized=True)
+        return FieldElem(self, (1,), (0,) * (-m) + (1,), _normalized=True)
 
     def q_power(self, e) -> "FieldElem":
         """q**e for a rational exponent e, if representable at this root order."""
@@ -603,38 +602,18 @@ class Field:
 
 
 class FieldElem:
-    """Element of Q(i)(v), stored as a reduced fraction with monic denominator."""
+    """Element of Q(i)(v), stored as a reduced fraction num/den of integer
+    coefficient tuples in the canonical form of the module docstring."""
 
     __slots__ = ("field", "num", "den", "_hash")
 
     def __init__(self, field: Field, num: tuple, den: tuple, _normalized=False):
+        """num and den are coefficient tuples in one form, den nonzero."""
         self.field = field
         self._hash = None
-        if _normalized:
-            self.num, self.den = num, den
-            return
-        num = _ptrim(list(num))
-        den = _ptrim(list(den))
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = (), (_QI_ONE,)
-            return
-        # fast path: monomial denominator only needs a v-power cancellation
-        if sum(1 for x in den if x) == 1:
-            dval = _pval(den)
-            shift = min(dval, _pval(num))
-            if shift:
-                num = num[shift:]
-                den = den[shift:]
-            lead = den[-1]
-            if lead != _QI_ONE:
-                inv = lead.inverse()
-                num = _pscale(num, inv)
-                den = _pscale(den, inv)
-            self.num, self.den = num, den
-            return
-        self.num, self.den = _heu_reduce(num, den) or _euclid_reduce(num, den)
+        if not _normalized:
+            num, den = _reduce(num, den)
+        self.num, self.den = num, den
 
     # -- ring structure -------------------------------------------------
 
@@ -665,13 +644,17 @@ class FieldElem:
             return other
         if not other.num:
             return self
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return FieldElem(self.field, num, _pmul(self.den, other.den))
+        ring, an, ad, bn, bd = _lift(self, other)
+        if ad == bd:
+            return FieldElem(self.field, ring.padd(an, bn), ad)
+        num = ring.padd(ring.pmul(an, bd), ring.pmul(bn, ad))
+        return FieldElem(self.field, num, ring.pmul(ad, bd))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(self.field, _pneg(self.num), self.den, _normalized=True)
+        return FieldElem(self.field, _ring_of(self).pneg(self.num), self.den,
+                         _normalized=True)
 
     def __sub__(self, other):
         return self + (-self._co(other))
@@ -683,15 +666,16 @@ class FieldElem:
         other = self._co(other)
         if not self.num or not other.num:
             return self.field.zero
-        return FieldElem(self.field, _pmul(self.num, other.num),
-                         _pmul(self.den, other.den))
+        ring, an, ad, bn, bd = _lift(self, other)
+        return FieldElem(self.field, ring.pmul(an, bn), ring.pmul(ad, bd))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
         if not self.num:
             raise ZeroDivisionError("inverting zero")
-        return FieldElem(self.field, self.den, self.num)
+        num, den = _with_unit_lead(self.den, self.num, _ring_of(self))
+        return FieldElem(self.field, num, den, _normalized=True)
 
     def __truediv__(self, other):
         return self * self._co(other).inverse()
@@ -711,19 +695,18 @@ class FieldElem:
     # -- the bar involution ---------------------------------------------
 
     def bar(self) -> "FieldElem":
-        """Substitute v -> 1/v (so q -> 1/q); i is fixed."""
+        """Substitute v -> 1/v (so q -> 1/q); i is fixed.
+
+        N(1/v) / D(1/v) = v^(deg D - deg N) rev(N) / rev(D), with rev the
+        coefficient reversal; content and coprimality are unchanged."""
         if not self.num:
             return self
-        rn = tuple(reversed(self.num))
-        rd = tuple(reversed(self.den))
-        shift = (len(self.den) - 1) - (len(self.num) - 1)
-        if shift >= 0:
-            num = _pmul(rn, tuple([_QI_ZERO] * shift + [_QI_ONE])) if shift else rn
-            den = rd
-        else:
-            num = rn
-            den = _pmul(rd, tuple([_QI_ZERO] * (-shift) + [_QI_ONE]))
-        return FieldElem(self.field, num, den)
+        ring = _ring_of(self)
+        shift = len(self.den) - len(self.num)
+        num = (ring.zero,) * max(shift, 0) + _trim(self.num[::-1], ring.zero)
+        den = (ring.zero,) * max(-shift, 0) + _trim(self.den[::-1], ring.zero)
+        num, den = _with_unit_lead(num, den, ring)
+        return FieldElem(self.field, num, den, _normalized=True)
 
     # -- monomial structure ----------------------------------------------
 
@@ -731,11 +714,11 @@ class FieldElem:
         """Return (coefficient, v-exponent) if this is c*v^m, else None."""
         if not self.num:
             return None
-        if sum(1 for c in self.num if c) != 1 or sum(1 for c in self.den if c) != 1:
+        zero = _ring_of(self).zero
+        jn, jd = _val(self.num, zero), _val(self.den, zero)
+        if jn != len(self.num) - 1 or jd != len(self.den) - 1:
             return None
-        jn = _pval(self.num)
-        jd = _pval(self.den)
-        return (self.num[jn] / self.den[jd], jn - jd)
+        return _qi(self.num[-1], self.den[-1]), jn - jd
 
     def monomial_sqrt(self) -> "FieldElem | None":
         """Principal square root of a monomial, or None.
@@ -768,29 +751,33 @@ class FieldElem:
         mono_root = self.monomial_sqrt()
         if mono_root is not None:
             return mono_root
-        prod = _pmul(self.num, self.den)
-        val = _pval(prod)
-        if val % 2:
-            return None
-        shifted = prod[val:]
-        lead = shifted[-1]
+        ring = _ring_of(self)
+        prod = ring.pmul(self.num, self.den)
+        val = _val(prod, ring.zero)
+        lead = _qi(prod[-1])
         lead_root = lead.sqrt()
-        if lead_root is None:
+        if val % 2 or (len(prod) - val) % 2 == 0 or lead_root is None:
             return None
-        monic = _pscale(shifted, lead.inverse())
-        body = _monic_poly_sqrt(monic)
-        if body is None:
+        # the monic s with s^2 = q / lc(q), q = prod / v^val, top half first:
+        # the coefficient of v^(d+k) in s^2 is 2 s_k plus cross terms
+        inv, q = lead.inverse(), prod[val:]
+        d = (len(q) - 1) // 2
+        s = [QI(0)] * d + [_QI_ONE]
+        for k in range(d - 1, -1, -1):
+            acc = _qi(q[d + k]) * inv
+            for a in range(k + 1, d):
+                acc = acc - s[a] * s[d + k - a]
+            s[k] = acc * QI(Fraction(1, 2))
+        body, scale = map(_pairs, _clear_qi([c * lead_root for c in s]))
+        if _zi_mul(body, body) != _zi_mul(_pairs(q), _zi_mul(scale, scale)):
             return None
-        num = _pscale(body, lead_root)
-        if val:
-            num = _pmul(num, tuple([_QI_ZERO] * (val // 2) + [_QI_ONE]))
-        return FieldElem(self.field, num, self.den)
+        return FieldElem(self.field, ((0, 0),) * (val // 2) + body,
+                         _zi_mul(_pairs(self.den), scale))
 
     # -- canonical serialization ------------------------------------------
 
     def _poly_str(self, poly: tuple) -> str:
-        if not poly:
-            return "0"
+        """A polynomial with QI coefficients, highest degree first."""
         terms = []
         for e in range(len(poly) - 1, -1, -1):
             c = poly[e]
@@ -809,15 +796,17 @@ class FieldElem:
         return " + ".join(terms)
 
     def serialize(self) -> str:
+        """The fraction with a monic denominator over Q(i), as text."""
         if not self.num:
             return "0"
-        ns = self._poly_str(self.num)
-        if self.den == (_QI_ONE,):
+        num, den = ([_qi(c, self.den[-1]) for c in p] for p in (self.num, self.den))
+        ns = self._poly_str(num)
+        if len(den) == 1:
             return ns
-        if sum(1 for c in self.num if c) > 1:
+        if sum(1 for c in num if c) > 1:
             ns = f"({ns})"
-        ds = self._poly_str(self.den)
-        if sum(1 for c in self.den if c) > 1:
+        ds = self._poly_str(den)
+        if sum(1 for c in den if c) > 1:
             ds = f"({ds})"
         return f"{ns} / {ds}"
 

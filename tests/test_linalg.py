@@ -38,9 +38,12 @@ POOL = [
 
 
 def _sym(x):
+    def coeff(c):
+        # an int, or an (re, im) int pair when the element is not real
+        return c[0] + c[1] * sympy.I if type(c) is tuple else sympy.Integer(c)
+
     def poly(p):
-        return sum((sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * V ** k
-                   for k, c in enumerate(p))
+        return sum(coeff(c) * V ** k for k, c in enumerate(p))
     return K.from_sympy(poly(x.num) / poly(x.den))
 
 

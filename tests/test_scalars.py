@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.domains import QQ_I, ZZ_I
 
 import qspherical.scalars as scalars
 from qspherical.scalars import (Field, FieldElem, QI, UnrepresentableScalar,
@@ -16,10 +17,14 @@ V = sympy.Symbol("v")
 QIV = QQ_I.frac_field(V)
 
 
+def _coeff(c):
+    """A stored coefficient: an int, or an (re, im) int pair."""
+    return c[0] + c[1] * sympy.I if type(c) is tuple else sympy.Integer(c)
+
+
 def _expr(x: FieldElem):
     def poly(p):
-        return sum((sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * V ** k
-                   for k, c in enumerate(p))
+        return sum(_coeff(c) * V ** k for k, c in enumerate(p))
 
     return poly(x.num) / poly(x.den)
 
@@ -105,15 +110,21 @@ def test_serialization_shape():
     assert " / " in y.serialize()
 
 
-small_qi = st.builds(QI, st.integers(-4, 4), st.integers(-2, 2))
-small_poly = st.lists(small_qi, min_size=0, max_size=4).map(tuple)
+small_int = st.integers(-4, 4)
+small_pair = st.tuples(st.integers(-4, 4), st.integers(-2, 2))
+
+
+def _nonzero(c):
+    return c not in (0, (0, 0))
 
 
 @st.composite
 def field_elems(draw):
-    num = draw(small_poly)
-    den = draw(small_poly.filter(lambda p: any(p)))
-    return FieldElem(F, num, den)
+    """num/den with small coefficients, both ints or both (re, im) pairs."""
+    coeff = small_pair if draw(st.booleans()) else small_int
+    num = draw(st.lists(coeff, max_size=4))
+    den = draw(st.lists(coeff, min_size=1, max_size=4).filter(lambda p: any(map(_nonzero, p))))
+    return FieldElem(F, tuple(num), tuple(den))
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,27 +185,55 @@ def test_field_sqrt_round_trip(a):
 
 # -- the integer reduction against sympy ----------------------------------
 
-rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]))
+ZZ_I_V = ZZ_I.poly_ring(V).ring
+
+
+@st.composite
+def planted_pairs(draw, low=1):
+    """(A*G, B*G) for random A, B and a planted G of degree at least low,
+    with int or Gaussian (re, im) coefficients; degrees up to 27."""
+    ring = draw(st.sampled_from([scalars._Z, scalars._ZI]))
+    coeff = st.integers(-9, 9)
+    if ring is scalars._ZI:
+        coeff = st.tuples(coeff, coeff)
+
+    def poly(low, high):
+        body = draw(st.lists(coeff, min_size=low, max_size=high))
+        return tuple(body) + (draw(coeff.filter(_nonzero)),)
+
+    g, a, b = poly(low, 10), poly(0, 16), poly(1, 16)
+    return ring.pmul(a, g), ring.pmul(b, g)
 
 
 @st.composite
 def planted_fractions(draw):
-    """(A*G, B*G) for random A, B and a planted common factor G of positive
-    degree, with real or Gaussian rational coefficients; degrees up to 27."""
-    im = st.just(0) if draw(st.booleans()) else rationals
-    coeff = st.builds(QI, rationals, im)
-
-    def poly(low, high):
-        body = draw(st.lists(coeff, min_size=low, max_size=high))
-        return tuple(body) + (draw(coeff.filter(bool)),)
-
-    g, a, b = poly(1, 10), poly(0, 16), poly(1, 16)
-    return scalars._pmul(a, g), scalars._pmul(b, g)
+    """A planted pair, each side also scaled by a small integer."""
+    f, g = draw(planted_pairs())
+    ring = scalars._ZI if type(f[0]) is tuple else scalars._Z
+    s, t = (draw(st.sampled_from([1, 2, 3, 6])) for _ in range(2))
+    if ring is scalars._ZI:
+        s, t = (s, 0), (t, 0)
+    return ring.pmul(f, (s,)), ring.pmul(g, (t,))
 
 
 def _qq_i_poly(p):
     """p as an element of sympy's QQ_I[v]."""
-    return QIV.field.ring.from_list([QQ_I(QQ(c.re), QQ(c.im)) for c in reversed(p)])
+    return QIV.field.ring.from_list([QQ_I.from_sympy(_coeff(c)) for c in reversed(p)])
+
+
+def _assert_canonical(x: FieldElem):
+    """Joint content one (a unit), lc(den) positive or in the quadrant
+    re > 0, im >= 0, int form exactly when every coefficient is real."""
+    coeffs = x.num + x.den
+    if type(x.den[0]) is tuple:
+        assert any(im for _, im in coeffs)
+        re, im = x.den[-1]
+        assert re > 0 and im >= 0
+        assert ZZ_I_V.from_list([ZZ_I(*c) for c in reversed(coeffs)]).content() in (
+            ZZ_I(1), ZZ_I(-1), ZZ_I(0, 1), ZZ_I(0, -1))
+    else:
+        assert all(type(c) is int for c in coeffs)
+        assert x.den[-1] > 0 and math.gcd(*coeffs) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,27 +241,72 @@ def _qq_i_poly(p):
 def test_reduction_matches_qq_i_oracle(pair):
     num, den = pair
     x = FieldElem(F, num, den)
-    assert x.den[-1] == QI(1)
+    _assert_canonical(x)
     assert _qq_i_poly(x.num).gcd(_qq_i_poly(x.den)).degree() == 0
     value = QIV.field(_qq_i_poly(num)) / QIV.field(_qq_i_poly(den))
     assert not QIV.field(_qq_i_poly(x.num)) / QIV.field(_qq_i_poly(x.den)) - value
 
 
+gaussian_rationals = st.builds(QI, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+                               st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_elems(), field_elems(), gaussian_rationals)
+def test_canonical_form_is_unique(x, y, c):
+    """One value reached by several routes is stored once: the same
+    num/den tuples and hash, in int form when it is real."""
+    routes = [x.bar().bar(), (F.i * x) / F.i]
+    if y:
+        routes.append(x * y / y)
+    if c:
+        routes.append(F.from_qi(c) * x / F.from_qi(c))
+    if x:
+        for z in (x, x.bar(), x.inverse(), -x):
+            _assert_canonical(z)
+    for z in routes:
+        assert (z.num, z.den) == (x.num, x.den)
+        assert hash(z) == hash(x)
+        assert not frac_of(z) - frac_of(x)
+
+
+def test_hot_paths_build_no_fraction(monkeypatch):
+    """mul, add, inverse and a non-monomial reduction on integer inputs."""
+    x = FieldElem(F, (1, 0, -2, 3), (2, 1))
+    y = FieldElem(F, ((1, 1), (0, 2)), ((3, 0), (0, 1), (1, 0)))
+
+    def ops():
+        return [x * y, x + y, x.inverse(), y.inverse(), x * x + y * y,
+                FieldElem(F, (6, 5, 1), (3, 4, 1))]
+
+    expected = ops()
+
+    class NoFraction:
+        def __new__(cls, *args):
+            raise AssertionError("Fraction built in a hot path")
+
+    monkeypatch.setattr(scalars, "Fraction", NoFraction)
+    got = ops()
+    monkeypatch.undo()
+    assert got == expected
+    assert (got[-1].num, got[-1].den) == ((2, 1), (1, 1))
+
+
 def _fallback_calls(mp):
     calls = []
-    euclid = scalars._euclid_reduce
+    prs = scalars._prs_gcd
 
-    def spy(num, den):
-        calls.append((num, den))
-        return euclid(num, den)
+    def spy(f, g, ring):
+        calls.append((f, g))
+        return prs(f, g, ring)
 
-    mp.setattr(scalars, "_euclid_reduce", spy)
+    mp.setattr(scalars, "_prs_gcd", spy)
     return calls
 
 
 @settings(max_examples=15, deadline=None)
 @given(planted_fractions())
-def test_heuristic_give_up_falls_back_to_euclid(pair):
+def test_heuristic_give_up_falls_back_to_prs(pair):
     expected = FieldElem(F, *pair)
     with pytest.MonkeyPatch.context() as mp:
         calls = _fallback_calls(mp)
@@ -235,7 +319,7 @@ def test_heuristic_give_up_falls_back_to_euclid(pair):
 
 @settings(max_examples=15, deadline=None)
 @given(planted_fractions())
-def test_failed_certificate_falls_back_to_euclid(pair):
+def test_failed_certificate_falls_back_to_prs(pair):
     expected = FieldElem(F, *pair)
     with pytest.MonkeyPatch.context() as mp:
         calls = _fallback_calls(mp)
@@ -244,6 +328,23 @@ def test_failed_certificate_falls_back_to_euclid(pair):
     assert calls
     assert (x.num, x.den) == (expected.num, expected.den)
     assert x.serialize() == expected.serialize()
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_pairs(low=0))
+def test_prs_gcd_matches_zz_i_oracle(pair):
+    f, g = pair
+    ring = scalars._ZI if type(f[0]) is tuple else scalars._Z
+    f, g = scalars._primitive(f, ring)[1], scalars._primitive(g, ring)[1]
+    h = scalars._prs_gcd(f, g, ring)
+
+    def zz_i(p):
+        return ZZ_I_V.from_list([ZZ_I.from_sympy(_coeff(c)) for c in reversed(p)])
+
+    expected = zz_i(f).gcd(zz_i(g))
+    # equal up to a unit: each divides the other
+    assert zz_i(h).degree() == expected.degree()
+    assert not zz_i(h).rem(expected) and not expected.rem(zz_i(h))
 
 
 def test_coprimality_certificate():
