@@ -1,7 +1,7 @@
 """Exact computer algebra for quantized enveloping algebras, quantum symmetric
 pair coideal subalgebras, their characters and spherical functions."""
 
-from .scalars import Field, FieldElem, QI, UnrepresentableScalar, parse_scalar
+from .scalars import Field, FieldElem, UnrepresentableScalar, parse_scalar
 from .rootdata import (RootDatum, SatakeDatum, RootDatumError, root_datum,
                        rank_one_satake, table1_constants, satake_from_config,
                        load_satake, RANK_ONE_TYPES)
@@ -26,7 +26,7 @@ from .spherical import (MatrixCoefficient, TorusFunction, restrict_torus,
                         appendix_double_sign_check)
 
 __all__ = [
-    "Field", "FieldElem", "QI", "UnrepresentableScalar", "parse_scalar",
+    "Field", "FieldElem", "UnrepresentableScalar", "parse_scalar",
     "RootDatum", "SatakeDatum", "RootDatumError", "root_datum",
     "rank_one_satake", "table1_constants", "satake_from_config", "load_satake",
     "RANK_ONE_TYPES",

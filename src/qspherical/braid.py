@@ -99,13 +99,14 @@ def generator_operator(module: WeightModule, kind: str, i: int) -> Operator:
     raise OperatorError(f"unknown generator kind {kind!r}")
 
 
-def _divided_powers(module: WeightModule, mat, i: int, limit: int) -> list:
-    """[X^(0), X^(1), ..., X^(k)] up to the nilpotency degree."""
+def _divided_powers(module: WeightModule, mat, i: int) -> list:
+    """[X^(0), X^(1), ..., X^(k)] up to the nilpotency degree, which is at
+    most the dimension for the nilpotent E_i and F_i."""
     field = module.field
     out = [linalg.identity(module.dim, field)]
     cur = linalg.identity(module.dim, field)
     k = 1
-    while k <= limit:
+    while k <= module.dim:
         cur = linalg.mat_mul(cur, mat)
         if linalg.is_zero_matrix(cur):
             break
@@ -129,10 +130,8 @@ def lusztig_T(i: int, e: int, kind: str, module: WeightModule) -> Operator:
     field = module.field
     datum = module.datum
     dim = module.dim
-    heights = [int(Fraction(module.root_height(w))) for w in module.weights] if dim else []
-    span = (max(heights) - min(heights)) if dim else 0
-    fpow = _divided_powers(module, module.f_mats[i], i, span + 1)
-    epow = _divided_powers(module, module.e_mats[i], i, span + 1)
+    fpow = _divided_powers(module, module.f_mats[i], i)
+    epow = _divided_powers(module, module.e_mats[i], i)
     out = linalg.zeros(dim, dim, field)
     outer, inner = (fpow, epow) if kind == "prime" else (epow, fpow)
     for col in range(dim):

@@ -62,12 +62,14 @@ def mat_mul(a: list, b: list) -> list:
 
 def mat_vec(a: list, v: list) -> list:
     field = a[0][0].field if a and a[0] else v[0].field
+    nz = [(k, y) for k, y in enumerate(v) if y]
     out = [field.zero] * len(a)
     for r, row in enumerate(a):
         acc = field.zero
-        for k, x in enumerate(row):
-            if x and v[k]:
-                acc = acc + x * v[k]
+        for k, y in nz:
+            x = row[k]
+            if x:
+                acc = acc + x * y
         out[r] = acc
     return out
 

@@ -46,9 +46,6 @@ class WeightModule:
             blocks.setdefault(w, []).append(idx)
         self.blocks = {w: tuple(ix) for w, ix in blocks.items()}
 
-    def weight_set(self):
-        return sorted(self.blocks, key=lambda w: (self.root_height(w), w))
-
     def root_height(self, mu) -> Fraction:
         return sum(self.datum.X_to_root(mu))
 

@@ -12,8 +12,10 @@ A fraction is reduced by the heuristic GCD; the common factor it proposes is
 accepted only if it divides both exactly and the cofactors are certified
 coprime modulo a prime p = 1 (mod 4).  The certificate only ever confirms;
 when the heuristic gives up or a check fails, a primitive PRS gcd reduces
-the fraction instead.  The Gaussian rational `QI` is the coefficient type of
-parsing, printing, monomial coefficients and square roots only.
+the fraction instead.  `FieldElem` is the one scalar type: a Gaussian
+rational constant is a constant `FieldElem`.  Only the printer and the
+principal square root of a coefficient read a coefficient as an (re, im)
+pair of Fractions.
 """
 
 from __future__ import annotations
@@ -45,121 +47,49 @@ def _frac_sqrt(x) -> Fraction | None:
     return None
 
 
-class QI:
-    """A Gaussian rational a + b*i; each part is an int or a Fraction."""
+def _principal_sqrt(re: Fraction, im: Fraction) -> tuple | None:
+    """Principal square root (x, y) of re + im*i inside Q(i), or None.
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if type(re) is int or type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is int or type(im) is Fraction else Fraction(im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        if not isinstance(other, QI):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        return QI(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return QI(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return QI(-self.re, -self.im)
-
-    def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if b == 0 and d == 0:
-            return QI(a * c, 0)
-        return QI(a * c - b * d, a * d + b * c)
-
-    def inverse(self) -> "QI":
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return QI(Fraction(self.re) / n, -Fraction(self.im) / n)
-
-    def __truediv__(self, other):
-        if other.im == 0:
-            if other.re == 0:
-                raise ZeroDivisionError("division by zero in Q(i)")
-            d = Fraction(other.re)
-            return QI(self.re / d, self.im / d)
-        return self * other.inverse()
-
-    def sqrt(self) -> "QI | None":
-        """Principal square root inside Q(i), or None.
-
-        Principal branch: nonnegative real part; for negative rationals the
-        root with positive imaginary part.
-        """
-        if not self:
-            return QI(0, 0)
-        if self.im == 0:
-            r = _frac_sqrt(self.re)
-            if r is not None:
-                return QI(r, 0)
-            r = _frac_sqrt(-self.re)
-            if r is not None:
-                return QI(0, r)
-            return None
-        norm = _frac_sqrt(self.re * self.re + self.im * self.im)
-        if norm is None:
-            return None
-        x2 = (self.re + norm) / 2
-        x = _frac_sqrt(x2)
-        if x is None or x == 0:
-            return None
-        y = self.im / (2 * x)
-        return QI(x, y)
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}*i"
-        im_part = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}*i")
-        if im_part.startswith("-"):
-            return f"({self.re}{im_part})"
-        return f"({self.re}+{im_part})"
-
-    __repr__ = __str__
+    Principal branch: x >= 0; for a negative rational the root with y > 0.
+    """
+    if not im:
+        r = _frac_sqrt(re)
+        if r is not None:
+            return r, 0
+        r = _frac_sqrt(-re)
+        return None if r is None else (0, r)
+    norm = _frac_sqrt(re * re + im * im)
+    if norm is None:
+        return None
+    x = _frac_sqrt((re + norm) / 2)
+    if not x:
+        return None
+    return x, im / (2 * x)
 
 
-_QI_ONE = QI(1, 0)
-
-
-def _qi(c, d=1) -> QI:
-    """The coefficient c / d as a QI, for c and d ints or (re, im) pairs."""
+def _coeff_pair(c, d=1) -> tuple:
+    """The coefficient c / d as an (re, im) pair of Fractions, for c and d
+    ints or (re, im) int pairs."""
     if type(d) is tuple:
         c, d = _zi_times(_pairs((c,))[0], (d[0], -d[1])), d[0] * d[0] + d[1] * d[1]
     if type(c) is tuple:
-        return QI(Fraction(c[0], d), Fraction(c[1], d))
-    return QI(Fraction(c, d))
+        return Fraction(c[0], d), Fraction(c[1], d)
+    return Fraction(c, d), Fraction(0)
 
 
-def _clear_qi(coeffs) -> tuple:
-    """(poly, (L,)) with coeffs = poly / L, L the least positive common
-    denominator; both in int form, or in pair form if some c is not real."""
-    lcm = 1
-    for c in coeffs:
-        lcm = math.lcm(lcm, c.re.denominator, c.im.denominator)
-    re = tuple(c.re.numerator * (lcm // c.re.denominator) for c in coeffs)
-    if not any(c.im for c in coeffs):
-        return re, (lcm,)
-    im = (c.im.numerator * (lcm // c.im.denominator) for c in coeffs)
-    return tuple(zip(re, im)), ((lcm, 0),)
+def _coeff_str(re: Fraction, im: Fraction) -> str:
+    """re + im*i as text: 'i', '-2/3*i', '(1/2+3*i)', '(1-i)'."""
+    if not im:
+        return str(re)
+    ipart = "i" if im == 1 else ("-i" if im == -1 else f"{im}*i")
+    if not re:
+        return ipart
+    return f"({re}{ipart})" if ipart.startswith("-") else f"({re}+{ipart})"
+
+
+def _gaussian(field: "Field", re, im) -> "FieldElem":
+    x = field.rational(re)
+    return x + field.rational(im) * field.i if im else x
 
 
 # -- polynomials over Z and Z[i] -----------------------------------------
@@ -532,11 +462,6 @@ class Field:
     def __repr__(self):
         return f"Field(root_order={self.root_order})"
 
-    def from_qi(self, c: QI) -> "FieldElem":
-        if not c:
-            return self.zero
-        return FieldElem(self, *_clear_qi((c,)))
-
     def rational(self, x) -> "FieldElem":
         x = x if type(x) is int else Fraction(x)
         return FieldElem(self, (x.numerator,) if x else (), (x.denominator,),
@@ -547,8 +472,6 @@ class Field:
             if x.field.root_order != self.root_order:
                 raise ValueError("mixing scalars of different root orders")
             return x
-        if isinstance(x, QI):
-            return self.from_qi(x)
         if isinstance(x, (int, Fraction)):
             return self.rational(x)
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
@@ -627,7 +550,7 @@ class FieldElem:
         return not self.num
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
+        if isinstance(other, (int, Fraction)):
             other = self._co(other)
         if not isinstance(other, FieldElem):
             return NotImplemented
@@ -710,15 +633,15 @@ class FieldElem:
 
     # -- monomial structure ----------------------------------------------
 
-    def as_monomial(self) -> "tuple[QI, int] | None":
-        """Return (coefficient, v-exponent) if this is c*v^m, else None."""
+    def as_monomial(self) -> "tuple[FieldElem, int] | None":
+        """Return (constant coefficient, v-exponent) if this is c*v^m, else None."""
         if not self.num:
             return None
         zero = _ring_of(self).zero
         jn, jd = _val(self.num, zero), _val(self.den, zero)
         if jn != len(self.num) - 1 or jd != len(self.den) - 1:
             return None
-        return _qi(self.num[-1], self.den[-1]), jn - jd
+        return FieldElem(self.field, self.num[-1:], self.den[-1:]), jn - jd
 
     def monomial_sqrt(self) -> "FieldElem | None":
         """Principal square root of a monomial, or None.
@@ -734,79 +657,81 @@ class FieldElem:
         coeff, m = mono
         if m % 2 != 0:
             return None
-        root = coeff.sqrt()
+        root = _principal_sqrt(*_coeff_pair(coeff.num[0], coeff.den[0]))
         if root is None:
             return None
-        return self.field.from_qi(root) * self.field.v_power(m // 2)
+        return _gaussian(self.field, *root) * self.field.v_power(m // 2)
 
     def field_sqrt(self) -> "FieldElem | None":
         """Exact square root inside the field, or None.
 
         Writes num*den as (square coefficient) * v^(even) * (polynomial)^2 and
-        divides the polynomial root by the denominator.  The branch is fixed
-        by the principal root of the leading coefficient.
+        divides the polynomial root by the denominator; the root is returned
+        only if its square is exactly this element.  The branch is fixed by
+        the principal root of the leading coefficient.
         """
         if not self.num:
             return self.field.zero
         mono_root = self.monomial_sqrt()
         if mono_root is not None:
             return mono_root
-        ring = _ring_of(self)
+        field, ring = self.field, _ring_of(self)
         prod = ring.pmul(self.num, self.den)
         val = _val(prod, ring.zero)
-        lead = _qi(prod[-1])
-        lead_root = lead.sqrt()
+        lead_root = _principal_sqrt(*_coeff_pair(prod[-1]))
         if val % 2 or (len(prod) - val) % 2 == 0 or lead_root is None:
             return None
         # the monic s with s^2 = q / lc(q), q = prod / v^val, top half first:
         # the coefficient of v^(d+k) in s^2 is 2 s_k plus cross terms
-        inv, q = lead.inverse(), prod[val:]
+        q = [FieldElem(field, (c,), (ring.one,)) for c in prod[val:]]
+        inv, half = q[-1].inverse(), field.rational(Fraction(1, 2))
         d = (len(q) - 1) // 2
-        s = [QI(0)] * d + [_QI_ONE]
+        s = [field.zero] * d + [field.one]
         for k in range(d - 1, -1, -1):
-            acc = _qi(q[d + k]) * inv
+            acc = q[d + k] * inv
             for a in range(k + 1, d):
                 acc = acc - s[a] * s[d + k - a]
-            s[k] = acc * QI(Fraction(1, 2))
-        body, scale = map(_pairs, _clear_qi([c * lead_root for c in s]))
-        if _zi_mul(body, body) != _zi_mul(_pairs(q), _zi_mul(scale, scale)):
-            return None
-        return FieldElem(self.field, ((0, 0),) * (val // 2) + body,
-                         _zi_mul(_pairs(self.den), scale))
+            s[k] = acc * half
+        root = field.zero
+        for c in reversed(s):
+            root = root * field.v + c
+        root = (root * _gaussian(field, *lead_root) * field.v_power(val // 2)
+                / FieldElem(field, self.den, (ring.one,)))
+        return root if root * root == self else None
 
     # -- canonical serialization ------------------------------------------
 
     def _poly_str(self, poly: tuple) -> str:
-        """A polynomial with QI coefficients, highest degree first."""
+        """A polynomial with (re, im) coefficients, highest degree first."""
         terms = []
         for e in range(len(poly) - 1, -1, -1):
             c = poly[e]
-            if not c:
+            if not any(c):
                 continue
             if e == 0:
-                terms.append(str(c))
+                terms.append(_coeff_str(*c))
             else:
                 vpart = "v" if e == 1 else f"v^{e}"
-                if c == _QI_ONE:
+                if c == (1, 0):
                     terms.append(vpart)
-                elif c == QI(-1, 0):
+                elif c == (-1, 0):
                     terms.append(f"-{vpart}")
                 else:
-                    terms.append(f"{c}*{vpart}")
+                    terms.append(f"{_coeff_str(*c)}*{vpart}")
         return " + ".join(terms)
 
     def serialize(self) -> str:
         """The fraction with a monic denominator over Q(i), as text."""
         if not self.num:
             return "0"
-        num, den = ([_qi(c, self.den[-1]) for c in p] for p in (self.num, self.den))
+        num, den = ([_coeff_pair(c, self.den[-1]) for c in p] for p in (self.num, self.den))
         ns = self._poly_str(num)
         if len(den) == 1:
             return ns
-        if sum(1 for c in num if c) > 1:
+        if sum(1 for c in num if any(c)) > 1:
             ns = f"({ns})"
         ds = self._poly_str(den)
-        if sum(1 for c in den if c) > 1:
+        if sum(1 for c in den if any(c)) > 1:
             ds = f"({ds})"
         return f"{ns} / {ds}"
 
@@ -888,7 +813,7 @@ class _Parser:
             if e.denominator == 1:
                 return base ** int(e)
             mono = base.as_monomial()
-            if mono is None or mono[0] != _QI_ONE:
+            if mono is None or mono[0] != self.field.one:
                 raise ScalarParseError("fractional powers only apply to powers of q or v")
             return self.field.v_power(_exact_int(Fraction(mono[1]) * e))
         return base
@@ -912,12 +837,11 @@ class _Parser:
         if not tok.isdigit():
             raise ScalarParseError(f"bad exponent {tok!r}")
         num = int(tok)
-        if self.peek() == "/":
+        # a '/' not followed by digits divides the whole power: q^2/q
+        if self.peek() == "/" and self.pos + 1 < len(self.toks) \
+                and self.toks[self.pos + 1].isdigit():
             self.take()
-            den = self.take()
-            if not den.isdigit():
-                raise ScalarParseError(f"bad exponent denominator {den!r}")
-            return Fraction(num, int(den))
+            return Fraction(num, int(self.take()))
         return Fraction(num)
 
     def atom(self) -> FieldElem:

@@ -203,7 +203,7 @@ def tau0_bar_check(coeff: MatrixCoefficient, satake: SatakeDatum) -> bool:
         return False
     ratio = t.data[moved(ref)] / negval.bar()
     mono = ratio.as_monomial()
-    if mono is None or mono[1] % 2 or field.from_qi(mono[0]) != field.one:
+    if mono is None or mono[1] % 2 or mono[0] != field.one:
         return False
     a = field.v_power(-mono[1] // 2)
     abar = a.bar()

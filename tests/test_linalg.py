@@ -10,7 +10,7 @@ from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 import qspherical.linalg as la
-from qspherical.scalars import QI, Field
+from qspherical.scalars import Field
 
 F = Field(2)
 V = sympy.Symbol("v")
@@ -21,7 +21,7 @@ def _laurent(coeffs, low):
     """sum of coeffs[k] v^(low + k), coefficients Gaussian rationals."""
     out = F.zero
     for k, (re, im) in enumerate(coeffs):
-        out = out + F.from_qi(QI(Fraction(re), Fraction(im))) * F.v_power(low + k)
+        out = out + (F.rational(re) + F.rational(im) * F.i) * F.v_power(low + k)
     return out
 
 
