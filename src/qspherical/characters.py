@@ -113,7 +113,8 @@ def _candidate_values(param: Parameter, i: int, bound: int) -> list:
         val = eigenvalue(param.c[i], param.s[i], param.satake.datum.d[i], l)
         if val is None:
             warnings.warn(
-                f"skipping label {l} at node {i}: eigenvalue root is not a monomial")
+                f"skipping label {l} at node {i}: the eigenvalue discriminant "
+                f"has no square root in Q(i)(v)")
             continue
         if val not in seen:
             seen.add(val)

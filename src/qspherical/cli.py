@@ -21,7 +21,8 @@ from .qsp import Parameter, ParameterError, chi_shift_coideal, \
 from .quasik import IntertwinerError, quasi_k, wz_character_check
 from .rootdata import (RootDatumError, SatakeDatum, root_datum,
                        satake_from_config, table1_constants)
-from .scalars import Field, ScalarParseError, UnrepresentableScalar, parse_scalar
+from .scalars import (ROOT_ORDERS, Field, ScalarParseError, UnrepresentableScalar,
+                      parse_scalar)
 from .spherical import MatrixCoefficient, is_weyl_invariant, restrict_torus
 
 EXIT_PASS = 0
@@ -174,6 +175,8 @@ def run_characters(job: JobSpec, built: dict) -> dict:
     satake = _load_satake(job)
     field = Field(job.root_order)
     param = _load_parameter(job, satake, field)
+    if job.weight_box < 0:
+        raise InputError(f"weight box {job.weight_box} is negative")
     weights = _weights(job, satake) if job.weights else None
     report = hermitian_scan(satake, param, field, weights=weights,
                             bound=None if weights else job.weight_box,
@@ -333,10 +336,12 @@ def run(job: JobSpec):
     report = {"checks": []}
     built = {}
     status = EXIT_PASS
-    for check in job.checks:
-        if check not in RUNNERS:
-            raise InputError(f"unknown check {check!r}; known: {sorted(RUNNERS)}")
     try:
+        for check in job.checks:
+            if check not in RUNNERS:
+                raise InputError(f"unknown check {check!r}; known: {sorted(RUNNERS)}")
+        if job.root_order not in ROOT_ORDERS:
+            raise InputError(f"root order {job.root_order} is not one of {ROOT_ORDERS}")
         if ((job.parameters or job.s_parameters)
                 and not PARAMETER_CHECKS.intersection(job.checks)):
             raise InputError("--c/--s are read only by characters and invariance")
@@ -394,7 +399,7 @@ def main(argv=None) -> int:
         if config_required:
             p.add_argument("--config", required=True, help="Satake config JSON")
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--root-order", type=int, default=2, choices=(1, 2, 4))
+        p.add_argument("--root-order", type=int, default=2, choices=ROOT_ORDERS)
         p.add_argument("--dim-cap", type=int, default=2000)
         p.add_argument("--weight-box", type=int, default=4)
         p.add_argument("--c", action="append", metavar="NODE=LITERAL",

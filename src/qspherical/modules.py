@@ -4,13 +4,18 @@ Simple highest-weight modules are realized concretely: weight spaces are
 spanned by lowering-operator words applied to the highest weight vector,
 the words whose contravariant Gram columns do not depend on earlier ones
 are kept as basis, and the generator actions are stored as dense matrices
-over the exact coefficient field.  In this basis the module bar involution
-is plain coefficient conjugation, and the lowest weight basis vector is
-bar-fixed.
+over the exact coefficient field.  The construction works weight block by
+weight block: the E and F blocks and the Gram block of a weight are
+products of blocks already built, and the dense matrices are assembled
+from them at the end.  Weight blocks are orthogonal for the contravariant
+form, so a pairing is a sum of block pairings.  In this basis the module
+bar involution is plain coefficient conjugation, and the lowest weight
+basis vector is bar-fixed.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import linalg
@@ -45,9 +50,6 @@ class WeightModule:
         for idx, w in enumerate(self.weights):
             blocks.setdefault(w, []).append(idx)
         self.blocks = {w: tuple(ix) for w, ix in blocks.items()}
-
-    def root_height(self, mu) -> Fraction:
-        return sum(self.datum.X_to_root(mu))
 
     def k_exponent(self, h, mu) -> Fraction:
         return sum(Fraction(a) * Fraction(b) for a, b in zip(h, mu))
@@ -149,8 +151,7 @@ class SimpleModule(WeightModule):
         self.grams = grams            # weight -> Gram matrix of the basis block
         self.words = tuple(words)     # lowering word that produced each basis vector
         self.highest_index = 0
-        lowest_wt = min(self.blocks, key=lambda w: (self.root_height(w), w))
-        block = self.blocks[lowest_wt]
+        block = self.blocks.get(tuple(datum.act_word_X(datum.w0_word(), lam)), ())
         if len(block) != 1:
             raise ModuleError("lowest weight space is not a line")
         self.lowest_index = block[0]
@@ -173,18 +174,31 @@ class SimpleModule(WeightModule):
             self._gram_global = g
         return self._gram_global
 
-    def shapovalov(self, v: ModuleVector, w: ModuleVector) -> FieldElem:
+    def block_pairings(self, v: ModuleVector, w: ModuleVector):
+        """Yield (weight, value) for each weight block on which the
+        contravariant pairing of v and w is nonzero; blocks of different
+        weights are orthogonal, so the pairing is the sum of the values."""
         if v.module is not self or w.module is not self:
             raise ModuleError("the contravariant pairing needs vectors of this module")
-        g = self.gram_global()
+        for mu, idxs in self.blocks.items():
+            gb = self.grams[mu]
+            out = self.field.zero
+            for a, ia in enumerate(idxs):
+                cv = v.coeffs[ia]
+                if not cv:
+                    continue
+                row = gb[a]
+                for b, ib in enumerate(idxs):
+                    cw = w.coeffs[ib]
+                    if cw and row[b]:
+                        out = out + cv * row[b] * cw
+            if out:
+                yield mu, out
+
+    def shapovalov(self, v: ModuleVector, w: ModuleVector) -> FieldElem:
         out = self.field.zero
-        for r, cv in enumerate(v.coeffs):
-            if not cv:
-                continue
-            row = g[r]
-            for c, cw in enumerate(w.coeffs):
-                if cw and row[c]:
-                    out = out + cv * row[c] * cw
+        for _, value in self.block_pairings(v, w):
+            out = out + value
         return out
 
     def gram_inverse(self) -> list:
@@ -241,12 +255,16 @@ def build_simple(datum: RootDatum, lam, field: Field,
                  dim_cap: int = 2000) -> SimpleModule:
     """Construct the simple module of highest weight lam.
 
-    Weight spaces are spanned by lowering words; the Gram matrix g of the
-    spanning candidates is computed by moving raising operators across the
-    commutator relation, and its pivot columns P, in input order, are the
-    basis.  g is symmetric, so rows P span its row space and g[P, P] is
-    nonsingular.  The radical is quotiented implicitly: a rejected candidate
-    is the combination of kept ones given by its column relation in g.
+    The weights are lam - k for the points k of the deficit box
+    0 <= k <= lam - w0 lam (in simple roots), taken by height.  The
+    candidates at k are F_i b for the basis vectors b at k - e_i.  E_j of
+    all candidates is one block product per i, by E_j F_i = F_i E_j +
+    delta_ij [<mu, alpha_i^vee>]_{q_i}, and since (F_i b, y) = (b, E_i y)
+    their Gram matrix g stacks gram[k - e_i] times E_i of the candidates.
+    The pivot columns P of g, in input order, are the basis.  g is
+    symmetric, so rows P span its row space and g[P, P] is nonsingular.
+    The radical is quotiented implicitly: a rejected candidate is the
+    combination of kept ones given by its column relation in g.
     """
     lam = tuple(int(x) for x in lam)
     if not datum.is_dominant(lam):
@@ -256,163 +274,86 @@ def build_simple(datum: RootDatum, lam, field: Field,
     deficit = datum.X_to_root(tuple(l - w for l, w in zip(lam, w0lam)))
     if any(x.denominator != 1 or x < 0 for x in deficit):
         raise ModuleError("highest weight is not above its lowest weight")
-    deficit = tuple(int(x) for x in deficit)
+    points = sorted(itertools.product(*(range(int(d) + 1) for d in deficit)),
+                    key=lambda k: (sum(k), k))
 
     def weight_of(k):
-        shift = datum.root_to_X(k)
-        return tuple(l - s for l, s in zip(lam, shift))
+        return tuple(l - s for l, s in zip(lam, datum.root_to_X(k)))
 
-    def lower(k, i):
-        return tuple(v - 1 if t == i else v for t, v in enumerate(k))
+    def step(k, i, by):
+        return tuple(v + by if t == i else v for t, v in enumerate(k))
 
-    origin = tuple(0 for _ in range(n))
-    levels = [[origin]]
-    total = {origin}
-    for h in range(1, sum(deficit) + 1):
-        cur = []
-        for k in levels[h - 1]:
-            for i in range(n):
-                if k[i] + 1 > deficit[i]:
-                    continue
-                nk = tuple(v + 1 if t == i else v for t, v in enumerate(k))
-                if nk not in total:
-                    total.add(nk)
-                    cur.append(nk)
-        if not cur:
-            break
-        levels.append(sorted(cur))
-
-    basis_dim = {origin: 1}
-    gram = {origin: [[field.one]]}
-    words = {origin: [()]}
+    # a point enters gram and words only when its block has a basis
+    gram = {points[0]: [[field.one]]}
+    words = {points[0]: [()]}
     e_block = {}   # (j, k) -> matrix of E_j from block k into block k - e_j
     f_block = {}   # (i, k) -> matrix of F_i from block k into block k + e_i
-    running_dim = 1
+    dim = 1
+    for k in points[1:]:
+        srcs = {i: src for i in range(n) if (src := step(k, i, -1)) in words}
+        if not srcs:
+            continue
+        # E_j of the candidates, side by side over i, in the basis at k - e_j
+        e_cand = {}
+        for j, dst in srcs.items():
+            parts = []
+            for i, src in srcs.items():
+                fb = f_block.get((i, step(src, j, -1)))
+                eb = e_block.get((j, src))
+                part = (linalg.mat_mul(fb, eb) if fb and eb else
+                        linalg.zeros(len(words[dst]), len(words[src]), field))
+                scal = field.qint(int(weight_of(src)[i]), datum.d[i]) if i == j else 0
+                if scal:
+                    for c, row in enumerate(part):
+                        row[c] = row[c] + scal
+                parts.append(part)
+            e_cand[j] = [[x for row in rows for x in row] for rows in zip(*parts)]
+        g = [row for i, src in srcs.items()
+             for row in linalg.mat_mul(gram[src], e_cand[i])]
+        relations = linalg.column_relations(g, len(g), field)
+        keep = [a for a in range(len(g)) if a not in relations]
+        dim += len(keep)
+        if dim > dim_cap:
+            raise DimensionCapExceeded(
+                f"dimension cap {dim_cap} exceeded while building L{lam}")
+        if not keep:
+            continue
+        gram[k] = [[g[a][b] for b in keep] for a in keep]
+        cand_words = [(i,) + w for i, src in srcs.items() for w in words[src]]
+        words[k] = [cand_words[a] for a in keep]
+        # g x = 0 writes column a as -sum x[p] column p, and g's kernel is
+        # the radical, so the candidate is that sum; one column per candidate
+        expansion = [[-relations[a][p] for p in keep] if a in relations else
+                     [field.one if p == a else field.zero for p in keep]
+                     for a in range(len(g))]
+        start = 0
+        for i, src in srcs.items():
+            width = len(words[src])
+            f_block[(i, src)] = linalg.transpose(expansion[start:start + width])
+            start += width
+            e_block[(i, k)] = [[row[a] for a in keep] for row in e_cand[i]]
 
-    def bdim(k):
-        return basis_dim.get(k, 0)
+    offset, weights, word_list = {}, [], []
+    for k in points:
+        if k in words:
+            offset[k] = len(weights)
+            weights += [weight_of(k)] * len(words[k])
+            word_list += words[k]
 
-    for level in levels[1:]:
-        for k in level:
-            cands = []
-            for i in range(n):
-                if k[i] == 0:
-                    continue
-                src = lower(k, i)
-                for col in range(bdim(src)):
-                    cands.append((i, src, col))
-            if not cands:
-                basis_dim[k] = 0
-                continue
-            # E_j of each candidate F_i b, written in the basis of block k - e_j
-            e_of_cand = {}
-            for ci, (i, src, col) in enumerate(cands):
-                for j in range(n):
-                    dst = lower(k, j)
-                    if any(x < 0 for x in dst):
-                        continue
-                    vec = [field.zero] * bdim(dst)
-                    up = lower(src, j)
-                    if all(x >= 0 for x in up) and bdim(up) > 0:
-                        eb = e_block.get((j, src))
-                        fb = f_block.get((i, up))
-                        if eb is not None and fb is not None:
-                            for r in range(bdim(dst)):
-                                acc = field.zero
-                                for t in range(bdim(up)):
-                                    if eb[t][col] and fb[r][t]:
-                                        acc = acc + fb[r][t] * eb[t][col]
-                                vec[r] = acc
-                    if i == j:
-                        scal = field.qint(int(weight_of(src)[i]), datum.d[i])
-                        if scal:
-                            vec[col] = vec[col] + scal
-                    e_of_cand[(ci, j)] = vec
-            # Gram matrix of the candidates via the block above
-            m = len(cands)
-            g = [[field.zero] * m for _ in range(m)]
-            for a in range(m):
-                ia, srca, cola = cands[a]
-                grow = gram[srca][cola]
-                for b in range(m):
-                    vec = e_of_cand.get((b, ia))
-                    if vec is None:
-                        continue
-                    acc = field.zero
-                    for t, x in enumerate(vec):
-                        if x and grow[t]:
-                            acc = acc + grow[t] * x
-                    g[a][b] = acc
-            relations = linalg.column_relations(g, m, field)
-            keep = [a for a in range(m) if a not in relations]
-            basis_dim[k] = len(keep)
-            running_dim += len(keep)
-            if running_dim > dim_cap:
-                raise DimensionCapExceeded(
-                    f"dimension cap {dim_cap} exceeded while building L{lam}")
-            expansions = {}
-            if keep:
-                gram[k] = [[g[a][b] for b in keep] for a in keep]
-                words[k] = [(cands[a][0],) + tuple(words[cands[a][1]][cands[a][2]])
-                            for a in keep]
-                for pos, ci in enumerate(keep):
-                    expansions[ci] = [field.one if t == pos else field.zero
-                                      for t in range(len(keep))]
-                # g vec = 0 writes column ci as -sum vec[p] column p, and
-                # g's kernel is the radical, so the candidate is that sum
-                for ci, vec in relations.items():
-                    expansions[ci] = [-vec[a] for a in keep]
-            for i in range(n):
-                src = lower(k, i)
-                if any(x < 0 for x in src) or bdim(src) == 0:
-                    continue
-                fb = [[field.zero] * bdim(src) for _ in range(len(keep))]
-                for ci, (ii, srcc, col) in enumerate(cands):
-                    if ii != i or srcc != src:
-                        continue
-                    for r in range(len(keep)):
-                        fb[r][col] = expansions[ci][r]
-                f_block[(i, src)] = fb
-            for j in range(n):
-                dst = lower(k, j)
-                if any(x < 0 for x in dst) or bdim(dst) == 0 or not keep:
-                    continue
-                eb = [[field.zero] * len(keep) for _ in range(bdim(dst))]
-                for pos, ci in enumerate(keep):
-                    vec = e_of_cand[(ci, j)]
-                    for r in range(bdim(dst)):
-                        eb[r][pos] = vec[r]
-                e_block[(j, k)] = eb
+    def place(blocks, by):
+        """Dense matrices of the blocks (i, k), which map k to k + by e_i."""
+        mats = {i: linalg.zeros(dim, dim, field) for i in range(n)}
+        for (i, src), blk in blocks.items():
+            r0, c0 = offset[step(src, i, by)], offset[src]
+            for r, row in enumerate(blk):
+                for c, x in enumerate(row):
+                    if x:
+                        mats[i][r0 + r][c0 + c] = x
+        return mats
 
-    order = []
-    for level in levels:
-        for k in level:
-            for col in range(bdim(k)):
-                order.append((k, col))
-    index_of = {kc: idx for idx, kc in enumerate(order)}
-    dim = len(order)
-    weights = [weight_of(k) for k, _ in order]
-    e_mats = {i: linalg.zeros(dim, dim, field) for i in range(n)}
-    f_mats = {i: linalg.zeros(dim, dim, field) for i in range(n)}
-    for (i, src), fb in f_block.items():
-        dst = tuple(v + 1 if t == i else v for t, v in enumerate(src))
-        for r in range(len(fb)):
-            for c in range(len(fb[r])):
-                if fb[r][c]:
-                    f_mats[i][index_of[(dst, r)]][index_of[(src, c)]] = fb[r][c]
-    for (j, k), eb in e_block.items():
-        dst = lower(k, j)
-        for r in range(len(eb)):
-            for c in range(len(eb[r])):
-                if eb[r][c]:
-                    e_mats[j][index_of[(dst, r)]][index_of[(k, c)]] = eb[r][c]
-    grams_by_weight = {}
-    word_list = []
-    for k, col in order:
-        grams_by_weight[weight_of(k)] = gram[k]
-        word_list.append(words[k][col])
-    return SimpleModule(datum, field, lam, weights, e_mats, f_mats,
-                        grams_by_weight, word_list)
+    grams_by_weight = {weight_of(k): gram[k] for k in offset}
+    return SimpleModule(datum, field, lam, weights, place(e_block, -1),
+                        place(f_block, 1), grams_by_weight, word_list)
 
 
 def tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:

@@ -434,6 +434,9 @@ def _lift(x: "FieldElem", y: "FieldElem") -> tuple:
     return _ZI, _pairs(x.num), _pairs(x.den), _pairs(y.num), _pairs(y.den)
 
 
+ROOT_ORDERS = (1, 2, 4)
+
+
 class Field:
     """The coefficient field Q(i)(v) with v**root_order = q.
 
@@ -442,7 +445,7 @@ class Field:
     """
 
     def __init__(self, root_order: int = 2):
-        if root_order not in (1, 2, 4):
+        if root_order not in ROOT_ORDERS:
             raise ValueError("root_order must be 1, 2 or 4")
         self.root_order = root_order
         self.zero = FieldElem(self, (), (1,), _normalized=True)

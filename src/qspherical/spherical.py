@@ -108,19 +108,7 @@ def _restrict(coeff: MatrixCoefficient, basis) -> TorusFunction:
     under the key of its weight's pairings with the basis."""
     module = coeff.module
     data = {}
-    for w, idxs in module.blocks.items():
-        pairing = module.field.zero
-        gb = module.grams[w]
-        for a, ia in enumerate(idxs):
-            fa = coeff.f.coeffs[ia]
-            if not fa:
-                continue
-            for b, ib in enumerate(idxs):
-                vb = coeff.v.coeffs[ib]
-                if vb and gb[a][b]:
-                    pairing = pairing + fa * gb[a][b] * vb
-        if not pairing:
-            continue
+    for w, pairing in module.block_pairings(coeff.f, coeff.v):
         key = tuple(sum(bk * wk for bk, wk in zip(bvec, w)) for bvec in basis)
         data[key] = data.get(key, module.field.zero) + pairing
     return TorusFunction(basis, data, module.field)

@@ -201,9 +201,11 @@ CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
     ["module", "ai1.json", "--s", "1=1", "--weight", "1"],
     ["table1", None, "--c", "1=q"],
     ["examples", None, "aiii-sl3", "--s", "1=1"],
+    # an empty scan passed
+    ["characters", "ai1.json", "--weight-box", "-1"],
 ], ids=["--c", "--s", "c-out-of-range", "c-node-zero", "c-black-node",
         "s-black-node", "s-without-c", "validate-c", "module-c", "module-s",
-        "table1-c", "examples-s"])
+        "table1-c", "examples-s", "negative-weight-box"])
 def test_malformed_parameter_flag_honours_out(tmp_path, capsys, argv):
     out = tmp_path / "report.json"
     config = ["--config", str(CONFIGS / argv[1])] if argv[1] else []
@@ -211,6 +213,21 @@ def test_malformed_parameter_flag_honours_out(tmp_path, capsys, argv):
     assert code == EXIT_INPUT_ERROR
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text())
+    assert report["checks"] == []
+    assert report["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize("job", [
+    JobSpec(checks=("bogus",)),
+    JobSpec(config=str(CONFIGS / "ai1.json"), checks=("module",), root_order=3),
+    JobSpec(config=str(CONFIGS / "ai1.json"), checks=("characters",),
+            weight_box=-1),
+], ids=["unknown-check", "root-order-3", "negative-weight-box"])
+def test_bad_job_is_input_error(job):
+    # a bad job gets an input-error report: run() neither raises nor
+    # reports an empty scan as passed
+    status, report = run(job)
+    assert status == EXIT_INPUT_ERROR
     assert report["checks"] == []
     assert report["error"]["code"] == "input"
 

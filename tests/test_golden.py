@@ -18,7 +18,7 @@ from qspherical.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
-NAMES = ("ai1", "aiii_sl3", "aiii3_sl4", "aii3_sl4")
+NAMES = ("ai1", "aiii_sl3", "aiii3_sl4", "aii3_sl4", "bii_so5")
 HALF = ["--c", "1=q^(1/2)", "--c", "2=q^(1/2)"]
 SL4 = ["--c", "1=1", "--c", "2=q^-1", "--c", "3=1"]
 
@@ -43,6 +43,8 @@ CASES = (
         ("module_aiii3_sl4_weight101",
          ["module"] + _config("aiii3_sl4") + _weights("1,0,1")),
         ("module_aii3_sl4", ["module"] + _config("aii3_sl4") + _weights("0,2,0")),
+        ("module_bii_so5_weight11",
+         ["module"] + _config("bii_so5") + _weights("1,1")),
         ("characters_ai1", ["characters"] + _config("ai1") + ["--c", "1=-q^-2"]
          + _weights("0", "2", "4")),
         ("characters_aiii_sl3", ["characters"] + _config("aiii_sl3") + HALF

@@ -229,7 +229,8 @@ def test_structural_inverses_on_larger_modules(modules, ai1, aiii_sl3,
 REFERENCE_WEIGHTS = {"ai1": [(2,), (3,)],
                      "aii3_sl4": [(0, 1, 0), (0, 2, 0)],
                      "aiii3_sl4": [(0, 1, 0), (1, 0, 1)],
-                     "aiii_sl3": [(1, 0), (1, 1)]}
+                     "aiii_sl3": [(1, 0), (1, 1)],
+                     "bii_so5": [(1, 0), (1, 1)]}
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)

@@ -126,7 +126,7 @@ def _golden_module_scalars():
 def test_golden_module_scalars_round_trip():
     """Every matrix entry of the module reports reads back to the same text."""
     texts = list(_golden_module_scalars())
-    assert len(texts) == 4898
+    assert len(texts) == 5922
     bad = [t for t in texts if parse_scalar(t, F).serialize() != t]
     assert not bad, bad[:5]
 
