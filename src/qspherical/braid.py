@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .modules import ModuleVector, SimpleModule, WeightModule, act_matrix
+from .modules import (ModuleVector, SimpleModule, WeightModule, _divided_powers,
+                      act_matrix)
 from .scalars import UnrepresentableScalar
 
 
@@ -97,22 +98,6 @@ def generator_operator(module: WeightModule, kind: str, i: int) -> Operator:
     if kind == "F":
         return Operator(module, module.f_mats[i])
     raise OperatorError(f"unknown generator kind {kind!r}")
-
-
-def _divided_powers(module: WeightModule, mat, i: int) -> list:
-    """[X^(0), X^(1), ..., X^(k)] up to the nilpotency degree, which is at
-    most the dimension for the nilpotent E_i and F_i."""
-    field = module.field
-    out = [linalg.identity(module.dim, field)]
-    cur = linalg.identity(module.dim, field)
-    k = 1
-    while k <= module.dim:
-        cur = linalg.mat_mul(cur, mat)
-        if linalg.is_zero_matrix(cur):
-            break
-        out.append(linalg.mat_scale(cur, module.field.qfact(k, module.datum.d[i]).inverse()))
-        k += 1
-    return out
 
 
 def lusztig_T(i: int, e: int, kind: str, module: WeightModule) -> Operator:

@@ -172,13 +172,8 @@ def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
         else:
             node_candidates.append([(field.zero, None)])
     lines = []
-    seen_values = set()
     for combo in itertools.product(*node_candidates):
         values = {i: v for i, (v, _) in zip(nodes, combo)}
-        key = tuple(values[i] for i in nodes)
-        if key in seen_values:
-            continue
-        seen_values.add(key)
         rows = list(base_rows)
         for i in nodes:
             rows.extend(_eigen_rows(gens.B[i].mat, values[i]))

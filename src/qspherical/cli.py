@@ -388,8 +388,26 @@ def _parse_kv(items) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as InputError, for a JSON report, instead of
+    printing the usage text and exiting."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _out_argument(argv) -> str | None:
+    """The --out of a command line that does not parse, if it has one."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--out")
+    try:
+        return parser.parse_known_args(argv)[0].out
+    except InputError:
+        return None
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qspherical",
         description="Exact checks for quantum symmetric pairs, their characters "
                     "and spherical functions.")
@@ -417,17 +435,11 @@ def main(argv=None) -> int:
     common(p, config_required=False)
     p.add_argument("which", nargs="?", default="aiii-sl3",
                    choices=("aiii-sl3", "aiii3-sl4"))
-    args = parser.parse_args(argv)
-
-    checks = {
-        "validate": ("validate",),
-        "module": ("module",),
-        "characters": ("characters",),
-        "invariance": ("quasik", "spherical"),
-        "table1": ("table1",),
-        "examples": ("examples",),
-    }[args.command]
+    args = None
     try:
+        args = parser.parse_args(argv)
+        checks = {"invariance": ("quasik", "spherical")}.get(args.command,
+                                                            (args.command,))
         weights = None
         if getattr(args, "weight", None):
             weights = [w.split(",") for w in args.weight]
@@ -445,7 +457,7 @@ def main(argv=None) -> int:
         )
     except InputError as exc:
         _emit({"checks": [], "error": {"code": "input", "detail": str(exc)}},
-              args.out)
+              args.out if args else _out_argument(argv))
         return EXIT_INPUT_ERROR
     status, report = run(job)
     _emit(report, job.out)

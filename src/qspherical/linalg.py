@@ -10,15 +10,14 @@ fraction-free by cross multiplication, with the content stripped after every
 update; coefficient growth stays determinant-sized instead of letting
 rational-function gcds blow up.
 
-`column_relations` is the one place that decides which columns of a matrix
-depend on earlier ones: it reads the relation of each non-pivot column off
-the echelon rows by back substitution.  The kernel basis (`nullspace`), the
-basis of a simple module's weight space (a Gram block's pivot columns) and
-the quasi-K raising words all come from it.  `solve` and `invert` are kernel
-problems: column j of the answer to A X = B is the kernel vector of [A | -B]
-whose free column n + j is one.  A modular evaluation screen runs before
-`column_relations` eliminates; it only certifies full rank, never decides
-equality.
+`column_relations` answers every exact linear question over Q(i)(v), and is
+the only caller of `_integer_rows`, `_echelonize` and `_kernel_vector`: it
+reads the relation of each non-pivot column off the echelon rows by back
+substitution.  The kernel basis (`nullspace`), a Gram block's pivot columns,
+the quasi-K raising words and intertwiner, `solve` and `invert` all come from
+it: column j of the answer to A X = B is the relation of column n + j of
+[A | -B].  A modular evaluation screen first certifies full rank; it never
+decides equality.  Over Q, `integer_kernel_basis` is the one kernel.
 """
 
 from __future__ import annotations
@@ -128,21 +127,19 @@ def solve(a: list, rhs: list) -> list | None:
 def _solve_columns(a: list, b: list) -> list | None:
     """Columns of the unique X with A X = B, or None when inconsistent.
 
-    Column j of X is read off the kernel vector of [A | -B] whose free
-    column n + j is one: a pivot in a right-hand column means inconsistency,
-    a free column of A means the solution is not unique.
+    Column j of X is read off the relation of column n + j of [A | -B]: a
+    right-hand column with no relation means inconsistency, a relation of a
+    column of A means the solution is not unique.
     """
     n = len(a[0])
-    field = a[0][0].field
-    rows, ring = _integer_rows([list(ra) + [-x for x in rb] for ra, rb in zip(a, b)])
     ncols = n + len(b[0])
-    pivots = _echelonize(rows, ncols, ring)
-    if pivots and pivots[-1] >= n:
+    relations = column_relations([list(ra) + [-x for x in rb] for ra, rb in zip(a, b)],
+                                 ncols, a[0][0].field)
+    if any(col not in relations for col in range(n, ncols)):
         return None
-    if len(pivots) < n:
+    if len(relations) > ncols - n:
         raise ValueError("the solution is not unique")
-    return [_kernel_vector(rows, pivots, free, ncols, field, ring)[:n]
-            for free in range(n, ncols)]
+    return [relations[col][:n] for col in range(n, ncols)]
 
 
 def column_relations(a: list, ncols: int, field: Field) -> dict:
@@ -151,11 +148,11 @@ def column_relations(a: list, ncols: int, field: Field) -> dict:
     other dependent column.
 
     The other columns are the pivot columns in input order, the greedy basis
-    of the column space.  A modular evaluation certifies full-rank systems
-    first, so independent columns cost almost nothing.
+    of the column space.  A modular evaluation first certifies full rank when
+    there are at least as many nonzero rows as columns.
     """
     rows, ring = _integer_rows(a)
-    if _modular_rank(rows, ncols, ring) == ncols:
+    if len(rows) >= ncols and _modular_rank(rows, ncols, ring) == ncols:
         return {}
     pivots = _echelonize(rows, ncols, ring)
     pivot_set = set(pivots)

@@ -394,10 +394,17 @@ def tensor_vector(v1: ModuleVector, v2: ModuleVector, t: WeightModule) -> Module
 # -- relation verification --------------------------------------------------------
 
 
-def matrix_power(mat: list, k: int, field: Field) -> list:
-    out = linalg.identity(len(mat), field)
-    for _ in range(k):
-        out = linalg.mat_mul(out, mat)
+def _divided_powers(module: WeightModule, mat, i: int) -> list:
+    """[X^(0), X^(1), ..., X^(k)] up to the nilpotency degree, which is at
+    most the dimension for the nilpotent E_i and F_i."""
+    field = module.field
+    out = [linalg.identity(module.dim, field)]
+    cur = out[0]
+    for k in range(1, module.dim + 1):
+        cur = linalg.mat_mul(cur, mat)
+        if linalg.is_zero_matrix(cur):
+            break
+        out.append(linalg.mat_scale(cur, field.qfact(k, module.datum.d[i]).inverse()))
     return out
 
 
@@ -430,23 +437,23 @@ def check_defining_relations(m: WeightModule) -> list:
             lhs = linalg.mat_mul(k, linalg.mat_mul(m.f_mats[j], kinv))
             if not linalg.mat_eq(lhs, linalg.mat_scale(m.f_mats[j], scal.inverse())):
                 problems.append(f"K_{i} F_{j} K_{i}^-1 has the wrong scalar")
+    divided = {name: [_divided_powers(m, mats[i], i) for i in range(n)]
+               for mats, name in ((m.e_mats, "E"), (m.f_mats, "F"))}
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             nij = 1 - datum.cartan[i][j]
             for mats, name in ((m.e_mats, "E"), (m.f_mats, "F")):
+                # sum over s of (-1)^s X_i^(r) X_j X_i^(s), with r + s = nij
+                powers = divided[name][i]
                 acc = linalg.zeros(m.dim, m.dim, field)
                 for s in range(nij + 1):
                     r = nij - s
-                    coeff = (field.qfact(r, datum.d[i])
-                             * field.qfact(s, datum.d[i])).inverse()
-                    if s % 2:
-                        coeff = -coeff
-                    term = linalg.mat_mul(
-                        matrix_power(mats[i], r, field),
-                        linalg.mat_mul(mats[j], matrix_power(mats[i], s, field)))
-                    acc = linalg.mat_add(acc, linalg.mat_scale(term, coeff))
+                    if max(r, s) >= len(powers):
+                        continue    # X_i^(k) is zero past the list
+                    term = linalg.mat_mul(powers[r], linalg.mat_mul(mats[j], powers[s]))
+                    acc = (linalg.mat_sub if s % 2 else linalg.mat_add)(acc, term)
                 if not linalg.is_zero_matrix(acc):
                     problems.append(f"Serre relation fails for {name}_{i}, {name}_{j}")
     return problems

@@ -9,6 +9,10 @@ restriction has c' = c.  A balanced monomial one has c' = b^2 c, where b is
 the positive monomial twist to the uniform normal form b c; the twist
 direction is fixed by equivariance of the relative operators under parameter
 rescaling.
+
+The system is one column relation: the columns left W - W right for the
+raising words W, then left - right, whose relation (x, 1) gives the
+intertwiner I + sum x_w W.
 """
 
 from __future__ import annotations
@@ -136,32 +140,23 @@ def _solve_intertwiner(i: int, satake, pairs: list,
     alphabet = sorted(set(satake.black) | {i, satake.tau[i]})
     words = _raising_word_matrices(module, alphabet)
     dim = module.dim
-    nunk = len(words)
     rows = []
-    rhs = []
     for left, right in pairs:
-        # left (I + sum x_w W) = (I + sum x_w W) right
-        coeff_mats = [linalg.mat_sub(linalg.mat_mul(left, w), linalg.mat_mul(w, right))
-                      for w in words]
-        target = linalg.mat_sub(right, left)
+        cols = [linalg.mat_sub(linalg.mat_mul(left, w), linalg.mat_mul(w, right))
+                for w in words] + [linalg.mat_sub(left, right)]
         for r in range(dim):
             for c in range(dim):
-                row = [cm[r][c] for cm in coeff_mats]
-                if any(row) or target[r][c]:
+                row = [col[r][c] for col in cols]
+                if any(row):
                     rows.append(row)
-                    rhs.append(target[r][c])
-    if nunk == 0:
-        if any(rhs):
-            raise IntertwinerError("inconsistent intertwiner system with no unknowns")
-        return Operator.identity(module)
-    try:
-        x = linalg.solve(rows, rhs)
-    except ValueError as exc:
-        raise IntertwinerError("intertwiner system is underdetermined") from exc
+    relations = linalg.column_relations(rows, len(words) + 1, field)
+    x = relations.pop(len(words), None)
     if x is None:
         raise IntertwinerError(
             f"intertwiner system is inconsistent at node {i}; "
             "the rank-one restriction is not uniform")
+    if relations:
+        raise IntertwinerError("intertwiner system is underdetermined")
     mat = linalg.identity(dim, field)
     for coeff, w in zip(x, words):
         if coeff:

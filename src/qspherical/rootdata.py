@@ -16,6 +16,8 @@ import json
 import math
 from fractions import Fraction
 
+from .linalg import integer_kernel_basis
+
 
 class RootDatumError(Exception):
     pass
@@ -57,6 +59,9 @@ class RootDatum:
             raise RootDatumError("symmetrizer entries must be positive")
         if math.gcd(*d) != 1:
             raise RootDatumError("gcd of the symmetrizer must be 1")
+        if not _positive_definite([[d[i] * c[i][j] for j in range(n)] for i in range(n)]):
+            raise RootDatumError("Cartan matrix is not of finite type: "
+                                 "DC is not positive definite")
         self.cartan = c
         self.d = d
         self.n = n
@@ -73,12 +78,10 @@ class RootDatum:
 
     def X_to_root(self, x) -> tuple:
         """Inverse of root_to_X; entries are Fractions in general."""
-        sol = _solve_rational([[Fraction(self.cartan[r][c]) for c in range(self.n)]
-                               for r in range(self.n)],
-                              [Fraction(v) for v in x])
+        sol = _rational_solution(self.cartan, x)
         if sol is None:
             raise RootDatumError("Cartan matrix is singular")
-        return tuple(sol)
+        return sol
 
     def pair(self, h, x):
         """Pairing of h in Y (coroot coordinates) with x in X."""
@@ -246,6 +249,10 @@ class RootDatum:
         return int(num)
 
     def w0_word(self) -> tuple:
+        return self._w0_word
+
+    @functools.cached_property
+    def _w0_word(self) -> tuple:
         return self.longest_word(range(self.n))
 
 
@@ -327,7 +334,6 @@ class SatakeDatum:
 
     def y_theta_basis(self) -> tuple:
         """HNF basis of the lattice of coroot vectors with Theta(h) = -h."""
-        from .linalg import integer_kernel_basis
         n = self.datum.n
         m = [[0] * n for _ in range(n)]
         for k in range(n):
@@ -393,9 +399,8 @@ class SatakeDatum:
         """Rational coordinates of a coroot vector in the Y_Theta basis, or
         None when it lies outside their span."""
         basis = self.y_theta_basis()
-        return _solve_rational([[Fraction(b[r]) for b in basis]
-                                for r in range(self.datum.n)],
-                               [Fraction(v) for v in h])
+        sol = _rational_solution([[b[r] for b in basis] for r in range(self.datum.n)], h)
+        return None if sol is None else list(sol)
 
     def relative_weyl_matrix_on_y_theta(self, i: int) -> tuple:
         """Matrix of the relative reflection on the fixed Y_Theta basis."""
@@ -411,32 +416,27 @@ class SatakeDatum:
         return tuple(tuple(cols[c][r] for c in range(k)) for r in range(k))
 
 
-def _solve_rational(a, rhs):
-    rows = [list(r) + [b] for r, b in zip(a, rhs)]
-    n = len(rows)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((k for k in range(r, n) if rows[k][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(n):
-            if k != r and rows[k][col]:
-                f = rows[k][col]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-    for k in range(r, n):
-        if rows[k][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for k, pc in enumerate(pivots):
-        x[pc] = rows[k][ncols]
-    return x
+def _positive_definite(m) -> bool:
+    """Whether a symmetric integer matrix is positive definite: every pivot
+    of its symmetric elimination is positive."""
+    a = [[Fraction(x) for x in row] for row in m]
+    for k, prow in enumerate(a):
+        if prow[k] <= 0:
+            return False
+        for row in a[k + 1:]:
+            f = row[k] / prow[k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], prow[k:])]
+    return True
+
+
+def _rational_solution(a, rhs) -> tuple | None:
+    """The unique rational x with A x = rhs for integer A and rhs, or None:
+    the integer kernel of [A | -rhs] is then one vector (t x, t), t != 0."""
+    kernel = integer_kernel_basis([list(row) + [-b] for row, b in zip(a, rhs)])
+    if len(kernel) != 1 or not kernel[0][-1]:
+        return None
+    *tx, t = kernel[0]
+    return tuple(Fraction(v, t) for v in tx)
 
 
 # -- standard constructions ------------------------------------------------------

@@ -544,6 +544,8 @@ class FieldElem:
     # -- ring structure -------------------------------------------------
 
     def _co(self, other) -> "FieldElem":
+        if type(other) is FieldElem and other.field is self.field:
+            return other
         return self.field.coerce(other)
 
     def __bool__(self):
@@ -583,7 +585,8 @@ class FieldElem:
                          _normalized=True)
 
     def __sub__(self, other):
-        return self + (-self._co(other))
+        other = self._co(other)
+        return self + (-other) if other.num else self
 
     def __rsub__(self, other):
         return self._co(other) - self

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 import qspherical.cli as cli
+import qspherical.linalg as linalg
 import qspherical.quasik as quasik
 from qspherical.characters import MultiplicityViolation, NoDualLine
 from qspherical.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_PASS,
@@ -132,9 +133,31 @@ def test_main_entry(sl3_config, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_unknown_example():
-    with pytest.raises(SystemExit):
-        main(["examples", "nonsense"])
+def test_unknown_example(capsys):
+    assert main(["examples", "nonsense"]) == EXIT_INPUT_ERROR
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == []
+    assert report["error"]["code"] == "input"
+
+
+def test_help_still_exits():
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--help"])
+    assert info.value.code == 0
+
+
+@pytest.mark.parametrize("cartan", [[[2, -2], [-2, 2]], [[2, -3], [-3, 2]]],
+                         ids=["affine-A1", "hyperbolic"])
+def test_cartan_matrix_not_of_finite_type(tmp_path, capsys, cartan):
+    # the longest Weyl word of an infinite Weyl group never terminated
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cartan": cartan, "symmetrizer": [1, 1]}))
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", str(config), "--out", str(out)]) \
+        == EXIT_INPUT_ERROR
+    report = json.loads(out.read_text())
+    assert report["error"]["code"] == "input"
+    assert "not of finite type" in report["error"]["detail"]
 
 
 def test_invariance_builds_each_module_once(ai1_config, monkeypatch):
@@ -203,9 +226,14 @@ CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
     ["examples", None, "aiii-sl3", "--s", "1=1"],
     # an empty scan passed
     ["characters", "ai1.json", "--weight-box", "-1"],
+    # usage errors printed the usage text and wrote no report
+    ["module", "ai1.json", "--root-order", "3"],
+    ["examples", None, "nonsense"],
+    ["invariance", None],
 ], ids=["--c", "--s", "c-out-of-range", "c-node-zero", "c-black-node",
         "s-black-node", "s-without-c", "validate-c", "module-c", "module-s",
-        "table1-c", "examples-s", "negative-weight-box"])
+        "table1-c", "examples-s", "negative-weight-box", "usage-root-order-3",
+        "usage-unknown-example", "usage-missing-config"])
 def test_malformed_parameter_flag_honours_out(tmp_path, capsys, argv):
     out = tmp_path / "report.json"
     config = ["--config", str(CONFIGS / argv[1])] if argv[1] else []
@@ -251,3 +279,23 @@ def test_check_failure_is_exit_1(ai1_config, tmp_path, capsys, monkeypatch,
     report = json.loads(out.read_text())
     assert [body["check"] for body in report["checks"]] == done
     assert report["error"] == {"code": code, "detail": "planted failure"}
+
+
+# the benchmark's invariance jobs: (config, c parameters, weight)
+BENCHMARK_INVARIANCE = [("aiii_sl3.json", ["--c", "1=q^(1/2)", "--c", "2=q^(1/2)"], "2,1"),
+                        ("ai1.json", [], "4"),
+                        ("aiii3_sl4.json", ["--c", "1=1", "--c", "2=q^-1", "--c", "3=1"],
+                         "0,1,0")]
+
+
+@pytest.mark.parametrize("config, c_args, weight", BENCHMARK_INVARIANCE,
+                         ids=[job[0] for job in BENCHMARK_INVARIANCE])
+def test_invariance_makes_no_solve_call(tmp_path, monkeypatch, config, c_args, weight):
+    # the quasi-K system is read as a column relation, not through solve
+    def fail(*args, **kwargs):
+        raise AssertionError("linalg.solve called")
+
+    monkeypatch.setattr(linalg, "solve", fail)
+    out = tmp_path / "report.json"
+    assert main(["invariance", "--config", str(CONFIGS / config)] + c_args
+                + ["--weight", weight, "--out", str(out)]) == EXIT_PASS

@@ -170,3 +170,15 @@ def test_singular_inconsistent_and_underdetermined_cases():
         la.solve([[one, q], [q, q * q]], [one, q])
     # overdetermined and consistent: the unique solution
     assert la.solve([[one], [q], [q * q]], [q, q * q, q ** 3]) == [q]
+
+
+def test_invert_skips_the_modular_screen(monkeypatch):
+    # [A | -I] has fewer rows than columns, so full column rank is impossible
+    # and the screen could only waste work
+    def fail(*args):
+        raise AssertionError("modular screen on a wide system")
+
+    q = F.q
+    a = [[F.one, q], [F.zero, q * q]]
+    monkeypatch.setattr(la, "_modular_rank", fail)
+    assert la.mat_eq(la.mat_mul(a, la.invert(a)), la.identity(2, F))

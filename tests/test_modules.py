@@ -216,3 +216,14 @@ def test_wedge_model_for_sl4(modules, field):
                 if c:
                     lhs = lhs + img_of[k].scale(c)
             assert lhs == act_matrix(t.f_mats[i], img_of[idx])
+
+
+@pytest.mark.parametrize("family,rank,lam", [("A", 2, (1, 1)), ("B", 2, (1, 1))])
+def test_serre_check_detects_a_twisted_generator(family, rank, lam):
+    # E_1 K_0 raises weights like E_1 but breaks the q-Serre relations
+    m = build_simple(root_datum(family, rank), lam, F)
+    m.e_mats[1] = la.mat_mul(m.e_mats[1], m.k_i_matrix(0))
+    problems = check_defining_relations(m)
+    assert "Serre relation fails for E_0, E_1" in problems
+    assert "Serre relation fails for E_1, E_0" in problems
+    assert not any(p.startswith("Serre relation fails for F") for p in problems)

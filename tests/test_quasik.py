@@ -258,3 +258,17 @@ def test_unipotent_inverse_rejects_non_unipotent(modules):
     with pytest.raises(IntertwinerError):
         _unipotent_inverse(Operator(m, la.mat_scale(la.identity(m.dim, F),
                                                     F.rational(2))))
+
+
+def test_duplicated_raising_word_is_underdetermined(modules, ai1, params,
+                                                    monkeypatch):
+    from qspherical import quasik
+    from qspherical.quasik import _rank_one_generators, _solve_intertwiner
+    words = quasik._raising_word_matrices
+    monkeypatch.setattr(quasik, "_raising_word_matrices",
+                        lambda module, alphabet: 2 * words(module, alphabet))
+    m = modules("A", 1, (2,))
+    par = params["ai1_uniform"]
+    pairs = _rank_one_generators(0, par, m)
+    with pytest.raises(IntertwinerError, match="underdetermined"):
+        _solve_intertwiner(0, par.satake, pairs, m)

@@ -1,4 +1,8 @@
+import random
+from fractions import Fraction
+
 import pytest
+import sympy
 
 from qspherical.rootdata import (RANK_ONE_TYPES, RootDatum, RootDatumError,
                                  SatakeDatum, rank_one_satake, root_datum,
@@ -176,3 +180,74 @@ def test_config_round_trip(tmp_path):
     assert satake.is_admissible()
     with pytest.raises(RootDatumError):
         satake_from_config({"cartan": [[2]]})
+
+
+@pytest.mark.parametrize("cartan", [((2, -2), (-2, 2)), ((2, -3), (-3, 2)),
+                                    ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))],
+                         ids=["affine-A1", "hyperbolic", "affine-A2"])
+def test_cartan_matrix_must_be_of_finite_type(cartan):
+    with pytest.raises(RootDatumError, match="not of finite type"):
+        RootDatum(cartan, (1,) * len(cartan))
+
+
+def _sympy_solution(a, rhs):
+    """The unique rational solution of A x = rhs by sympy, or None."""
+    try:
+        sol, params = sympy.Matrix(a).gauss_jordan_solve(sympy.Matrix(rhs))
+    except ValueError:
+        return None
+    assert not params
+    return [Fraction(int(x.p), int(x.q)) for x in sol]
+
+
+FAMILIES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+            ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("F", 4)]
+
+
+@pytest.mark.parametrize("family, rank", FAMILIES, ids=[f"{f}{n}" for f, n in FAMILIES])
+def test_X_to_root_matches_sympy(family, rank):
+    datum = root_datum(family, rank)
+    cartan = [list(row) for row in datum.cartan]
+    rng = random.Random(f"{family}{rank}")
+    for _ in range(8):
+        x = [rng.randint(-6, 6) for _ in range(rank)]
+        got = datum.X_to_root(x)
+        assert all(type(v) is Fraction for v in got)
+        assert list(got) == _sympy_solution(cartan, x)
+        assert datum.root_to_X(got) == tuple(x)
+
+
+RANK_ONE_CASES = [(label, n) for label in RANK_ONE_TYPES
+                  for n in {"AIV": (2, 3), "BII": (2, 3), "CII": (3, 4),
+                            "DII": (4, 5)}.get(label, (None,))]
+
+
+@pytest.mark.parametrize("label, n", RANK_ONE_CASES,
+                         ids=[f"{label}{n or ''}" for label, n in RANK_ONE_CASES])
+def test_y_theta_coords_match_sympy(label, n):
+    satake, _ = rank_one_satake(label, n)
+    rank = satake.datum.n
+    basis = satake.y_theta_basis()
+    columns = [[b[r] for b in basis] for r in range(rank)]
+    rng = random.Random(f"{label}{n}")
+    # random coroot vectors, mostly outside Y_Theta, and vectors inside it
+    vectors = [tuple(rng.randint(-5, 5) for _ in range(rank)) for _ in range(6)]
+    for _ in range(4):
+        coeffs = [rng.randint(-4, 4) for _ in basis]
+        vectors.append(tuple(sum(c * b[r] for c, b in zip(coeffs, basis))
+                             for r in range(rank)))
+    outside = 0
+    for h in vectors:
+        want = _sympy_solution(columns, list(h))
+        assert satake.y_theta_coords(h) == want
+        outside += want is None
+    if len(basis) < rank:
+        assert outside, "no vector outside Y_Theta was tried"
+    # the relative reflection on the basis, column by column
+    for i in satake.relative_orbit_representatives():
+        mat = satake.relative_weyl_matrix_on_y_theta(i)
+        word = satake.relative_generator(i)
+        for c, b in enumerate(basis):
+            image = tuple(sum(mat[k][c] * basis[k][r] for k in range(len(basis)))
+                          for r in range(rank))
+            assert image == satake.datum.act_word_Y(word, b)
