@@ -334,6 +334,10 @@ class SatakeDatum:
 
     def y_theta_basis(self) -> tuple:
         """HNF basis of the lattice of coroot vectors with Theta(h) = -h."""
+        return self._y_theta_basis
+
+    @functools.cached_property
+    def _y_theta_basis(self) -> tuple:
         n = self.datum.n
         m = [[0] * n for _ in range(n)]
         for k in range(n):

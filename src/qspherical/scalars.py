@@ -12,10 +12,14 @@ A fraction is reduced by the heuristic GCD; the common factor it proposes is
 accepted only if it divides both exactly and the cofactors are certified
 coprime modulo a prime p = 1 (mod 4).  The certificate only ever confirms;
 when the heuristic gives up or a check fails, a primitive PRS gcd reduces
-the fraction instead.  `FieldElem` is the one scalar type: a Gaussian
-rational constant is a constant `FieldElem`.  Only the printer and the
-principal square root of a coefficient read a coefficient as an (re, im)
-pair of Fractions.
+the fraction instead.  All of these run on the deflated polynomials: with
+num = v^a F(v^k) and den = v^b G(v^k), k the gcd of the exponents, the gcd
+is taken of F and G and the cofactors are inflated back.  Quantum integers
+and q-powers make most entries polynomials in q^2, so at the default root
+order the gcd inputs shrink to about a quarter.  `FieldElem` is the one
+scalar type: a Gaussian rational constant is a constant `FieldElem`.  Only
+the printer and the principal square root of a coefficient read a
+coefficient as an (re, im) pair of Fractions.
 """
 
 from __future__ import annotations
@@ -387,6 +391,37 @@ def _prs_gcd(f: tuple, g: tuple, ring) -> tuple:
     return _primitive(f, ring)[1]
 
 
+def _inflate(p: tuple, k: int, shift: int, zero) -> tuple:
+    """v^shift * p(v^k)."""
+    out = [zero] * (shift + (len(p) - 1) * k + 1)
+    out[shift::k] = p
+    return tuple(out)
+
+
+def _cancel(f: tuple, g: tuple, ring) -> tuple:
+    """(f/h, g/h) for h a gcd of f and g, two primitive polynomials not
+    both divisible by v.
+
+    Every gcd runs on the deflations: f = v^a F(v^k) and g = v^b G(v^k)
+    with k the gcd of the exponents, and gcd(f, g) = gcd(F, G)(v^k) since
+    v divides at most one of them.  Substituting v^k into a Bezout identity
+    carries the certificate over from F/h and G/h."""
+    zero = ring.zero
+    a, b = _val(f, zero), _val(g, zero)
+    f, g = f[a:], g[b:]
+    k = math.gcd(*[e for p in (f, g) for e, c in enumerate(p) if c != zero])
+    if k > 1:
+        f, g = f[::k], g[::k]
+    cofactors = _heu_cofactors(f, g, ring)
+    if cofactors is None or not _coprime_mod_p(*cofactors, ring is _ZI):
+        h = _prs_gcd(f, g, ring)
+        cofactors = ring.divide(f, h), ring.divide(g, h)
+    f, g = cofactors
+    if k > 1 or a or b:
+        f, g = _inflate(f, k, a, zero), _inflate(g, k, b, zero)
+    return f, g
+
+
 def _reduce(num: tuple, den: tuple) -> tuple:
     """The canonical (num, den) of num/den, both in one form."""
     ring = _ZI if den and type(den[0]) is tuple else _Z
@@ -403,11 +438,7 @@ def _reduce(num: tuple, den: tuple) -> tuple:
     cg, g = _primitive(den, ring)
     if _val(den, zero) < len(den) - 1:
         # den is not a monomial: cancel the common factor
-        cofactors = _heu_cofactors(f, g, ring)
-        if cofactors is None or not _coprime_mod_p(*cofactors, ring is _ZI):
-            h = _prs_gcd(f, g, ring)
-            cofactors = ring.divide(f, h), ring.divide(g, h)
-        f, g = cofactors
+        f, g = _cancel(f, g, ring)
     d = ring.gcd(cf, cg)
     n, m = ring.quo(cf, d), ring.quo(cg, d)
     u = ring.unit(ring.times(m, g[-1]))

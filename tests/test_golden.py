@@ -57,6 +57,15 @@ CASES = (
          + ["--c", "1=-q^-2"] + _weights("4")),
         ("invariance_aiii_sl3_weight21", ["invariance"] + _config("aiii_sl3")
          + HALF + _weights("2,1")),
+        # root orders 1 and 4, whose polynomials have exponent strides
+        # other than the default's 4 (named apart from the module_* files,
+        # whose entries are read back at root order 2)
+        ("root1_module_bii_so5_weight11", ["module"] + _config("bii_so5")
+         + _weights("1,1") + ["--root-order", "1"]),
+        ("root1_characters_aiii3_sl4", ["characters"] + _config("aiii3_sl4")
+         + SL4 + _weights("0,1,0", "0,2,0") + ["--root-order", "1"]),
+        ("root4_invariance_ai1_weight4", ["invariance"] + _config("ai1")
+         + ["--c", "1=-q^-2"] + _weights("4") + ["--root-order", "4"]),
         ("table1", ["table1"]),
         ("examples_aiii_sl3", ["examples", "aiii-sl3"]),
         ("examples_aiii3_sl4", ["examples", "aiii3-sl4"]),

@@ -101,6 +101,19 @@ def test_theta_involution(aiii3_sl4, aii3):
             assert satake.theta_on_Y(b) == tuple(-x for x in b)
 
 
+def test_y_theta_basis_is_computed_once(monkeypatch):
+    import qspherical.rootdata as rootdata
+
+    satake = SatakeDatum(root_datum("A", 3), (), (2, 1, 0))
+    first = satake.y_theta_basis()
+    calls = []
+    kernel = rootdata.integer_kernel_basis
+    monkeypatch.setattr(rootdata, "integer_kernel_basis",
+                        lambda m: calls.append(m) or kernel(m))
+    assert satake.y_theta_basis() == first
+    assert not calls
+
+
 def test_relative_generators(ai1, aiii_sl3, aiii3_sl4):
     assert ai1.relative_generator(0) == (0,)
     assert aiii_sl3.relative_generator(0) == (0, 1, 0)

@@ -434,3 +434,88 @@ def test_coprimality_certificate():
     assert scalars._coprime_mod_p([(0, -1), (1, 0)], [(0, 1), (1, 0)], True)
     # coprime over Q, but the leading coefficient p vanishes mod p: no certificate
     assert not scalars._coprime_mod_p([1, p], [2, 1], False)
+
+
+# -- reduction on deflated polynomials ---------------------------------------
+
+def _spread(p, k, shift, zero):
+    """v^shift * p(v^k), built coefficient by coefficient."""
+    out = [zero] * (shift + k * (len(p) - 1) + 1)
+    for e, c in enumerate(p):
+        out[shift + k * e] = c
+    return tuple(out)
+
+
+@st.composite
+def strided_fractions(draw):
+    """(v^a (F H)(v^k), v^b (G H)(v^k)) for sparse F, G and a planted common
+    factor H over Z or Z[i], each factor itself a polynomial in v or v^2 so
+    that num and den can have different strides (v^2 against v^4)."""
+    ring = draw(st.sampled_from([scalars._Z, scalars._ZI]))
+    coeff = st.integers(-9, 9)
+    if ring is scalars._ZI:
+        coeff = st.tuples(coeff, coeff)
+
+    def sparse(high):
+        body = draw(st.lists(st.one_of(st.just(ring.zero), coeff), max_size=high))
+        p = tuple(body) + (draw(coeff.filter(_nonzero)),)
+        return _spread(p, draw(st.sampled_from([1, 2])), 0, ring.zero)
+
+    f, g, h = sparse(5), sparse(5), sparse(3)
+    k = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    a, b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return (_spread(ring.pmul(f, h), k, a, ring.zero),
+            _spread(ring.pmul(g, h), k, b, ring.zero))
+
+
+def _exponent_gcd(*polys):
+    return math.gcd(*[e for p in polys for e, c in enumerate(p) if _nonzero(c)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(strided_fractions())
+def test_strided_reduction_matches_qq_i_oracle(pair):
+    num, den = pair
+    x = FieldElem(F, num, den)
+    _assert_canonical(x)
+    assert _qq_i_poly(x.num).gcd(_qq_i_poly(x.den)).degree() == 0
+    value = QIV.field(_qq_i_poly(num)) / QIV.field(_qq_i_poly(den))
+    assert not QIV.field(_qq_i_poly(x.num)) / QIV.field(_qq_i_poly(x.den)) - value
+
+
+@settings(max_examples=20, deadline=None)
+@given(strided_fractions())
+def test_fallbacks_on_deflated_polynomials(pair):
+    """Forcing either fallback gives the same tuples, and the PRS gcd sees
+    the deflations: no common stride, v dividing at most one side."""
+    expected = FieldElem(F, *pair)
+    for name, forced in (("_heu_cofactors", lambda f, g, ring: None),
+                         ("_coprime_mod_p", lambda a, b, gaussian: False)):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _fallback_calls(mp)
+            mp.setattr(scalars, name, forced)
+            x = FieldElem(F, *pair)
+        assert (x.num, x.den) == (expected.num, expected.den)
+        if sum(map(_nonzero, pair[1])) > 1:
+            assert calls
+        for f, g in calls:
+            assert _exponent_gcd(f, g) == 1
+            assert _nonzero(f[0]) or _nonzero(g[0])
+
+
+@pytest.mark.parametrize("n,m", [(5, 3), (6, 3), (6, 2)])
+def test_quantum_integer_quotients_reduce_deflated(monkeypatch, n, m):
+    """[n]/[m] at root order 2 is a quotient of polynomials in v^4 = q^2 of
+    degree at most 4(n-1); the heuristic sees them in q^2, of length <= n."""
+    calls = []
+    heu = scalars._heu_cofactors
+
+    def spy(f, g, ring):
+        calls.append((f, g))
+        return heu(f, g, ring)
+
+    monkeypatch.setattr(scalars, "_heu_cofactors", spy)
+    x = F.qint(n) / F.qint(m)
+    assert calls
+    assert all(max(len(f), len(g)) <= n for f, g in calls)
+    assert not frac_of(x) - frac_of(F.qint(n)) / frac_of(F.qint(m))
