@@ -92,14 +92,6 @@ class Operator:
         return out
 
 
-def generator_operator(module: WeightModule, kind: str, i: int) -> Operator:
-    if kind == "E":
-        return Operator(module, module.e_mats[i])
-    if kind == "F":
-        return Operator(module, module.f_mats[i])
-    raise OperatorError(f"unknown generator kind {kind!r}")
-
-
 def lusztig_T(i: int, e: int, kind: str, module: WeightModule) -> Operator:
     """Rank-one braid operator, 'prime' or 'doubleprime', sign e = +-1.
 
@@ -155,16 +147,12 @@ def lusztig_T_word(word, e: int, kind: str, module: WeightModule) -> Operator:
     return out
 
 
-def conjugate_element(word, e: int, kind: str, x: Operator) -> Operator:
-    """Image of an operator under the braid automorphism along the word."""
-    t = lusztig_T_word(word, e, kind, x.module)
-    return t.conj(x)
-
-
 def phi_diag(a: dict, module: SimpleModule) -> Operator:
     """Diagonal twist v_mu -> prod_i a_i^(t_i/2) v_mu where lam - mu = sum t_i alpha_i.
 
-    Needs every square root a_i^(1/2) to exist as a monomial.
+    Its inverse W realizes the rescaling twist: W X W^-1 sends E_i to
+    a_i^(1/2) E_i and F_i to a_i^(-1/2) F_i, and fixes K.  Needs every square
+    root a_i^(1/2) to exist as a monomial.
     """
     if not isinstance(module, SimpleModule):
         raise OperatorError("diagonal twists need a designated highest weight")
@@ -191,18 +179,6 @@ def phi_diag(a: dict, module: SimpleModule) -> Operator:
     return Operator(module, out).with_inverse(Operator(module, inv))
 
 
-def twist_conjugator(a: dict, module: SimpleModule) -> Operator:
-    """The diagonal W with W X W^-1 = (twist by a)(X): E_i -> a_i^(1/2) E_i,
-    F_i -> a_i^(-1/2) F_i, K fixed.  Inverse of the phi_diag normalization."""
-    return phi_diag(a, module).inverse()
-
-
-def twist_operator(a: dict, x: Operator) -> Operator:
-    """Apply the rescaling automorphism E_i -> a_i^(1/2) E_i to an operator."""
-    w = twist_conjugator(a, x.module)
-    return w.conj(x)
-
-
 def rescaled_T(i: int, param, module: SimpleModule) -> Operator:
     """Rescaled braid operator attached to a balanced parameter: the twist by
     bar(c_distinguished) * c applied to the composite operator of the relative
@@ -220,5 +196,5 @@ def rescaled_T(i: int, param, module: SimpleModule) -> Operator:
     # T'_{j,-1} and T''_{j,+1} are mutually inverse (Lusztig 37.1.2), so the
     # inverse composite runs the double-prime operators along the reversed word
     t_inv = lusztig_T_word(word[::-1], 1, "doubleprime", module)
-    w = twist_conjugator(a, module)
+    w = phi_diag(a, module).inverse()
     return w.conj(t).with_inverse(w.conj(t_inv))

@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 
 from . import linalg
-from .modules import ModuleVector, SimpleModule
+from .modules import ModuleVector, SimpleModule, build_simple
 from .qsp import CoidealGenerators, Parameter, coideal_generators
 from .rootdata import SatakeDatum
 from .scalars import Field, FieldElem
@@ -39,14 +39,12 @@ class Character:
         self.b_values = dict(b_values)
         self.labels = dict(labels)
         self.field = field
-        self._torus = {h: field.q_power(Fraction(sum(a * b for a, b in zip(h, self.lam))))
+        self._torus = {h: self.torus_value(h)
                        for h in satake.theta_fixed_torus_generators()}
 
     def torus_value(self, h) -> FieldElem:
-        if h in self._torus:
-            return self._torus[h]
-        return self.field.q_power(Fraction(sum(Fraction(a) * b
-                                               for a, b in zip(h, self.lam))))
+        """q^<h, lam>, the value of K_h."""
+        return self.field.q_power(self.satake.datum.pair(h, self.lam))
 
     def value_key(self) -> tuple:
         bs = tuple((i, self.b_values[i]) for i in sorted(self.b_values))
@@ -144,8 +142,7 @@ def _black_torus_rows(module: SimpleModule, gens: CoidealGenerators, lam) -> lis
         rows.extend(module.e_mats[j])
         rows.extend(module.f_mats[j])
     for h, op in gens.torus:
-        target = field.q_power(Fraction(sum(a * b for a, b in zip(h, lam))))
-        rows.extend(_eigen_rows(op.mat, target))
+        rows.extend(_eigen_rows(op.mat, field.q_power(module.datum.pair(h, lam))))
     return rows
 
 
@@ -184,7 +181,7 @@ def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
             raise MultiplicityViolation(
                 f"value system {values} on L{lam} has multiplicity {len(kernel)}")
         vec = ModuleVector(module, kernel[0])
-        if not vec.coefficient(module.highest_index):
+        if not vec.coeffs[module.highest_index]:
             raise MultiplicityViolation(
                 f"solution on L{lam} misses the highest weight line")
         vec = vec.normalized_at(module.highest_index)
@@ -259,7 +256,6 @@ def hermitian_scan(satake: SatakeDatum, param: Parameter, field: Field,
     Either an explicit list of dominant weights or a coordinate box bound
     must be given.
     """
-    from .modules import build_simple
     datum = satake.datum
     if weights is None:
         if bound is None:

@@ -61,8 +61,8 @@ TABLE1_EXPECTED = {
 @dataclasses.dataclass
 class JobSpec:
     config: str | None = None
-    parameters: dict | None = None       # node (1-based str) -> literal
-    s_parameters: dict | None = None
+    parameters: list | None = None       # (node as 1-based str, literal) pairs
+    s_parameters: list | None = None
     weights: list | None = None          # list of 1-based coordinate lists
     checks: tuple = ()
     out: str | None = None
@@ -95,11 +95,13 @@ def _load_parameter(job: JobSpec, satake: SatakeDatum, field: Field) -> Paramete
         return distinguished_parameter(satake, field)
     c, s = {}, {}
     try:
-        for values, literals in ((c, job.parameters), (s, job.s_parameters or {})):
-            for key, literal in literals.items():
+        for values, pairs in ((c, job.parameters), (s, job.s_parameters or [])):
+            for key, literal in pairs:
                 node = int(key) - 1
                 if node not in satake.I_circ:
                     raise InputError(f"parameter node {key} is not a white node")
+                if node in values:
+                    raise InputError(f"parameter node {node + 1} is given twice")
                 values[node] = parse_scalar(literal, field)
     except (ScalarParseError, UnrepresentableScalar, ValueError) as exc:
         raise InputError(f"parameter error: {exc}") from exc
@@ -378,13 +380,13 @@ def _emit(report: dict, out: str | None):
         print(text)
 
 
-def _parse_kv(items) -> dict:
-    out = {}
+def _parse_kv(items) -> list:
+    out = []
     for item in items or []:
         if "=" not in item:
             raise InputError(f"expected node=value, got {item!r}")
         key, val = item.split("=", 1)
-        out[key.strip()] = val.strip()
+        out.append((key.strip(), val.strip()))
     return out
 
 

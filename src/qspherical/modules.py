@@ -51,16 +51,13 @@ class WeightModule:
             blocks.setdefault(w, []).append(idx)
         self.blocks = {w: tuple(ix) for w, ix in blocks.items()}
 
-    def k_exponent(self, h, mu) -> Fraction:
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(h, mu))
-
     def k_matrix(self, h) -> list:
         """Matrix of K_h for h in Y or the half lattice (Fraction coordinates)."""
         key = tuple(Fraction(x) for x in h)
         if key not in self._k_cache:
             out = linalg.zeros(self.dim, self.dim, self.field)
             for idx, mu in enumerate(self.weights):
-                out[idx][idx] = self.field.q_power(self.k_exponent(key, mu))
+                out[idx][idx] = self.field.q_power(self.datum.pair(key, mu))
             self._k_cache[key] = out
         return self._k_cache[key]
 
@@ -118,9 +115,6 @@ class ModuleVector:
         """The module bar involution: anti-linear, fixing the word basis."""
         return ModuleVector(self.module, [c.bar() for c in self.coeffs])
 
-    def coefficient(self, idx: int) -> FieldElem:
-        return self.coeffs[idx]
-
     def normalized_at(self, idx: int) -> "ModuleVector":
         c = self.coeffs[idx]
         if not c:
@@ -159,9 +153,6 @@ class SimpleModule(WeightModule):
 
     def highest_vector(self) -> ModuleVector:
         return self.basis_vector(self.highest_index)
-
-    def lowest_vector(self) -> ModuleVector:
-        return self.basis_vector(self.lowest_index)
 
     def gram_global(self) -> list:
         if self._gram_global is None:
@@ -214,38 +205,18 @@ class SimpleModule(WeightModule):
                                              self.gram_global()))
 
 
-def shapovalov(v: ModuleVector, w: ModuleVector) -> FieldElem:
-    if not isinstance(v.module, SimpleModule):
-        raise ModuleError("the contravariant form lives on simple modules")
-    if v.module is not w.module:
-        raise ModuleError("vectors live in different modules")
-    return v.module.shapovalov(v, w)
-
-
-def bar_vector(v: ModuleVector) -> ModuleVector:
-    return v.bar()
-
-
 def act_matrix(mat: list, v: ModuleVector) -> ModuleVector:
     return ModuleVector(v.module, linalg.mat_vec(mat, v.coeffs))
 
 
 def act_Kh(h, v: ModuleVector) -> ModuleVector:
     """Action of K_h for h in the half coweight lattice (Fraction coordinates)."""
-    field = v.module.field
+    module = v.module
     out = list(v.coeffs)
     for idx, c in enumerate(out):
         if c:
-            exp = v.module.k_exponent(h, v.module.weights[idx])
-            out[idx] = c * field.q_power(exp)
-    return ModuleVector(v.module, out)
-
-
-def dual_pairing(f: ModuleVector, v: ModuleVector, mat=None) -> FieldElem:
-    """(f, X v) under the contravariant identification of the dual."""
-    if mat is not None:
-        v = act_matrix(mat, v)
-    return shapovalov(f, v)
+            out[idx] = c * module.field.q_power(module.datum.pair(h, module.weights[idx]))
+    return ModuleVector(module, out)
 
 
 # -- construction of simple modules ----------------------------------------------

@@ -134,9 +134,7 @@ class Parameter:
 
 def _pair_rho_vee(satake: SatakeDatum, i: int) -> Fraction:
     """<rho_black_vee, alpha_i>."""
-    alpha = satake.datum.alpha_in_X(i)
-    return sum(Fraction(satake.rho_black_vee[k]) * alpha[k]
-               for k in range(satake.datum.n))
+    return satake.datum.pair(satake.rho_black_vee, satake.datum.alpha_in_X(i))
 
 
 def _even_int(x: Fraction) -> int:
@@ -168,10 +166,6 @@ def distinguished_parameter(satake: SatakeDatum, field: Field) -> Parameter:
         expo = Fraction(datum.form_roots(ai, diff), 2)
         c[i] = -field.q_power(-expo)
     return Parameter(satake, c)
-
-
-def classify(param: Parameter) -> dict:
-    return param.classify()
 
 
 # -- coideal generators on modules ---------------------------------------------
@@ -208,12 +202,6 @@ class CoidealGenerators:
         out += [(f"F_{j}", op) for j, op in sorted(self.black_F.items())]
         out += [(f"K_{h}", op) for h, op in self.torus]
         return out
-
-
-def coideal_generator(i: int, param: Parameter, module: WeightModule) -> Operator:
-    if i not in param.satake.I_circ:
-        raise ParameterError(f"{i} is not a white node")
-    return CoidealGenerators(param, module).B[i]
 
 
 def coideal_generators(param: Parameter, module: WeightModule) -> CoidealGenerators:
@@ -254,10 +242,8 @@ def ad_Kh_parameter(h, param: Parameter) -> Parameter:
         alpha = datum.alpha_in_X(i)
         theta_alpha = satake.theta_on_X(alpha)
         diff = tuple(a - b for a, b in zip(alpha, theta_alpha))
-        c[i] = param.c[i] * field.q_power(
-            sum(Fraction(x) * Fraction(y) for x, y in zip(h, diff)))
-        s[i] = param.s[i] * field.q_power(
-            sum(Fraction(x) * Fraction(y) for x, y in zip(h, alpha)))
+        c[i] = param.c[i] * field.q_power(datum.pair(h, diff))
+        s[i] = param.s[i] * field.q_power(datum.pair(h, alpha))
     return Parameter(satake, c, s)
 
 

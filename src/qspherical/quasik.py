@@ -27,6 +27,7 @@ from .qsp import (CoidealGenerators, Parameter, ParameterError,
                   coideal_generators, twist_parameter)
 from .characters import SphericalLine, line_character_values
 from .scalars import UnrepresentableScalar
+from .spherical import MatrixCoefficient
 
 
 class IntertwinerError(Exception):
@@ -76,7 +77,8 @@ def _rank_one_generators(i: int, param: Parameter, module: SimpleModule,
     conjugate of the same generator for the parameter right, by default the
     uniform image of param at i.  The i-bar involution fixes the white
     generators and the black Chevalley generators and inverts the torus
-    generators.
+    generators.  The torus generators are those of the coideal supported on
+    the rank-one subdiagram: on the black nodes and on i and tau(i).
     """
     satake = param.satake
     right = right or _uniform_image(i, param)
@@ -87,16 +89,10 @@ def _rank_one_generators(i: int, param: Parameter, module: SimpleModule,
     for j in sorted(satake.black):
         mats.append((gl.black_E[j].mat, gr.black_E[j].mat))
         mats.append((gl.black_F[j].mat, gr.black_F[j].mat))
-    n = satake.datum.n
-    torus = []
-    if ti != i:
-        h = tuple(satake.datum.d[i] * (1 if k == i else 0)
-                  - satake.datum.d[ti] * (1 if k == ti else 0) for k in range(n))
-        torus.append(h)
-    for j in sorted(satake.black):
-        torus.append(tuple(satake.datum.d[j] * (1 if k == j else 0) for k in range(n)))
-    for h in torus:
-        mats.append((module.k_matrix(tuple(-x for x in h)), module.k_matrix(h)))
+    support = set(satake.black) | {i, ti}
+    for h, k_h in gl.torus:
+        if all(k in support for k, x in enumerate(h) if x):
+            mats.append((module.k_matrix(tuple(-x for x in h)), k_h.mat))
     return [(left, linalg.bar_matrix(g)) for left, g in mats]
 
 
@@ -273,10 +269,6 @@ def wz_operator(i: int, param: Parameter, module: SimpleModule) -> Operator:
     return cache[key]
 
 
-def wz_on_vector(i: int, param: Parameter, v: ModuleVector) -> ModuleVector:
-    return wz_operator(i, param, v.module).apply(v)
-
-
 def wz_character_check(line: SphericalLine, i: int, param: Parameter,
                        gens: CoidealGenerators | None = None):
     """Does the inverse relative operator carry the line to a line of the same
@@ -302,7 +294,6 @@ def wz_precompose(coeff, i: int, param: Parameter):
     The result is again a matrix coefficient on the same module: the dual
     vector moves by the transpose of the operator, the vector by its inverse.
     """
-    from .spherical import MatrixCoefficient
     module = coeff.module
     w = wz_operator(i, param, module)
     f_new = ModuleVector(module,

@@ -12,7 +12,6 @@ word is reproducible.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from fractions import Fraction
 
@@ -597,8 +596,3 @@ def satake_from_config(cfg: dict) -> SatakeDatum:
     else:
         tau = tuple(int(t) - 1 for t in tau_raw)
     return SatakeDatum(datum, black, tau)
-
-
-def load_satake(path: str) -> SatakeDatum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return satake_from_config(json.load(fh))

@@ -78,11 +78,6 @@ class TorusFunction:
             out = out + val * self.field.q_power(expo)
         return out
 
-    def negate_keys(self) -> "TorusFunction":
-        return TorusFunction(self.basis,
-                             {tuple(-x for x in k): val
-                              for k, val in self.data.items()}, self.field)
-
     def describe(self) -> dict:
         return {
             "basis": [list(b) for b in self.basis],
@@ -109,7 +104,7 @@ def _restrict(coeff: MatrixCoefficient, basis) -> TorusFunction:
     module = coeff.module
     data = {}
     for w, pairing in module.block_pairings(coeff.f, coeff.v):
-        key = tuple(sum(bk * wk for bk, wk in zip(bvec, w)) for bvec in basis)
+        key = tuple(module.datum.pair(b, w) for b in basis)
         data[key] = data.get(key, module.field.zero) + pairing
     return TorusFunction(basis, data, module.field)
 
@@ -154,7 +149,8 @@ def rho_shift(coeff: MatrixCoefficient, h) -> MatrixCoefficient:
 
 def antipode_torus(t: TorusFunction) -> TorusFunction:
     """Composition with the antipode on the torus part: K_h -> K_-h."""
-    return t.negate_keys()
+    return TorusFunction(t.basis, {tuple(-x for x in k): val
+                                   for k, val in t.data.items()}, t.field)
 
 
 def bar_function(t: TorusFunction) -> TorusFunction:

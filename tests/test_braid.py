@@ -1,9 +1,8 @@
 import pytest
 
 from qspherical import Field
-from qspherical.braid import (Operator, conjugate_element, generator_operator,
-                              lusztig_T, lusztig_T_word, phi_diag, rescaled_T,
-                              twist_conjugator, twist_operator)
+from qspherical.braid import (Operator, lusztig_T, lusztig_T_word, phi_diag,
+                              rescaled_T)
 from qspherical.modules import act_matrix
 import qspherical.linalg as la
 
@@ -113,13 +112,13 @@ def test_bar_conjugation_relations(modules):
 def test_transpose_twist_relations(modules):
     # rho . T_{i,e} = T_{i,-e} . rho on operators, realized by the Gram form
     m = modules("A", 1, (2,))
-    e_op = generator_operator(m, "E", 0)
+    e_op = Operator(m, m.e_mats[0])
     for kind in ("prime", "doubleprime"):
         for e in (1, -1):
             lhs = Operator(m, m.rho_twist_matrix(
-                conjugate_element((0,), e, kind, e_op).mat))
-            rhs = conjugate_element((0,), -e, kind,
-                                    Operator(m, m.rho_twist_matrix(e_op.mat)))
+                lusztig_T_word((0,), e, kind, m).conj(e_op).mat))
+            rhs = lusztig_T_word((0,), -e, kind, m).conj(
+                Operator(m, m.rho_twist_matrix(e_op.mat)))
             assert lhs == rhs
 
 
@@ -130,24 +129,24 @@ def test_transpose_of_composite_raising_conjugate(modules, aii3):
     # matching lowering generator
     m = modules("A", 3, (0, 1, 0))
     word = aii3.w_black
-    e_op = generator_operator(m, "E", 1)
-    f_op = generator_operator(m, "F", 1)
+    e_op = Operator(m, m.e_mats[1])
+    f_op = Operator(m, m.f_mats[1])
     lhs = Operator(m, m.rho_twist_matrix(
-        conjugate_element(word, 1, "doubleprime", e_op).mat))
-    rhs = conjugate_element(word, -1, "doubleprime", f_op)
+        lusztig_T_word(word, 1, "doubleprime", m).conj(e_op).mat))
+    rhs = lusztig_T_word(word, -1, "doubleprime", m).conj(f_op)
     assert lhs == rhs
 
 
 def test_conjugation_examples(modules):
     m = modules("A", 1, (1,))
     k_op = Operator(m, m.k_i_matrix(0))
-    conj = conjugate_element((0,), 1, "prime", k_op)
+    conj = lusztig_T_word((0,), 1, "prime", m).conj(k_op)
     assert la.mat_eq(conj.mat, m.k_i_matrix(0, -1))   # K_h -> K_{s_i h}
-    e_op = generator_operator(m, "E", 0)
-    assert conjugate_element((), 1, "prime", e_op) == e_op
+    e_op = Operator(m, m.e_mats[0])
+    assert lusztig_T_word((), 1, "prime", m).conj(e_op) == e_op
     m2 = modules("A", 1, (2,))
-    e2 = generator_operator(m2, "E", 0)
-    te = conjugate_element((0,), 1, "doubleprime", e2)
+    e2 = Operator(m2, m2.e_mats[0])
+    te = lusztig_T_word((0,), 1, "doubleprime", m2).conj(e2)
     fk = la.mat_mul(m2.f_mats[0], m2.k_i_matrix(0))
     assert la.mat_eq(te.mat, la.mat_scale(fk, -F.one))
 
@@ -155,9 +154,9 @@ def test_conjugation_examples(modules):
 def test_doubleprime_on_raising_generator(modules):
     # T''_{k,e}(E_j) agrees with its single-sum expansion on modules
     m = modules("A", 2, (1, 1))
-    e1 = generator_operator(m, "E", 1)
+    e1 = Operator(m, m.e_mats[1])
     for e in (1, -1):
-        got = conjugate_element((0,), e, "doubleprime", e1)
+        got = lusztig_T_word((0,), e, "doubleprime", m).conj(e1)
         acc = la.zeros(m.dim, m.dim, F)
         # sum over r+s = 1: (-1)^r q^{-er} E_0^(s) E_1 E_0^(r)
         e0 = m.e_mats[0]
@@ -182,12 +181,11 @@ def test_phi_diag(modules, ai1):
     v = m.highest_vector()
     fv = act_matrix(m.f_mats[0], v)
     assert d.apply(fv) == fv.scale(F.q)
-    e_op = generator_operator(m, "E", 0)
-    assert twist_operator({0: F.q ** 2}, e_op) == \
-        Operator(m, la.mat_scale(e_op.mat, F.q))
-    f_op = generator_operator(m, "F", 0)
-    assert twist_operator({0: F.q ** 2}, f_op) == \
-        Operator(m, la.mat_scale(f_op.mat, F.q.inverse()))
+    e_op = Operator(m, m.e_mats[0])
+    twist = phi_diag({0: F.q ** 2}, m).inverse()
+    assert twist.conj(e_op) == Operator(m, la.mat_scale(e_op.mat, F.q))
+    f_op = Operator(m, m.f_mats[0])
+    assert twist.conj(f_op) == Operator(m, la.mat_scale(f_op.mat, F.q.inverse()))
 
 
 def test_phi_diag_needs_roots(modules):
@@ -223,8 +221,7 @@ def test_phi_diag_inverse_is_diagonal(modules, monkeypatch):
     d = phi_diag(a, m)
     assert la.mat_eq(d.inverse().mat, expected)
     assert d.inverse().inverse() is d
-    assert twist_conjugator(a, m) == d.inverse()
-    x = generator_operator(m, "E", 0)
+    x = Operator(m, m.e_mats[0])
     assert d.conj(x) == Operator(m, la.mat_scale(x.mat, F.q.inverse()))
 
 

@@ -41,10 +41,10 @@ def test_eigenvalue_closed_form_oracle():
 def test_eigenvalues_match_characteristic_polynomial(modules, ai1, params):
     # oracle: the operator is annihilated by the product of its eigenvalue
     # shifts and the eigenspaces fill the module
-    from qspherical.qsp import coideal_generator
+    from qspherical.qsp import coideal_generators
     for n in (1, 2, 3, 4):
         m = modules("A", 1, (n,))
-        b = coideal_generator(0, params["ai1_dist"], m)
+        b = coideal_generators(params["ai1_dist"], m).B[0]
         values = []
         for l in range(-n, n + 1):
             if (n - l) % 2 == 0:
@@ -77,9 +77,9 @@ def test_sl3_vector_example(modules, aiii_sl3, field):
     assert len(lines) == 1
     line = lines[0]
     # v = v1 - c1^{-1} v3 in the lowering-word basis
-    assert line.vector.coefficient(0) == field.one
-    assert line.vector.coefficient(2) == -c1.inverse()
-    assert line.vector.coefficient(1).is_zero()
+    assert line.vector.coeffs[0] == field.one
+    assert line.vector.coeffs[2] == -c1.inverse()
+    assert line.vector.coeffs[1].is_zero()
     # torus value q on K_1 K_2^{-1}
     h = (1, -1)
     assert line.character.torus_value(h) == field.q
@@ -93,8 +93,8 @@ def test_spherical_shape_invariant(modules, aiii3_sl4, params):
     m = modules("A", 3, (0, 1, 0))
     gens = coideal_generators(params["aiii3_sl4"], m)
     for line in find_spherical_lines(m, gens, params["aiii3_sl4"]):
-        assert line.vector.coefficient(m.highest_index) == F.one
-        assert not line.vector.coefficient(m.lowest_index).is_zero()
+        assert line.vector.coeffs[m.highest_index] == F.one
+        assert not line.vector.coeffs[m.lowest_index].is_zero()
         values = line_character_values(line, gens)
         for i, expected in line.character.b_values.items():
             assert values[f"B_{i}"] == expected

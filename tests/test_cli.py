@@ -63,7 +63,7 @@ def test_config_error_exit_code(tmp_path):
 
 def test_unrepresentable_parameter(ai1_config):
     job = JobSpec(config=ai1_config, checks=("characters",),
-                  parameters={"1": "q^(1/4)"}, weights=[[2]])
+                  parameters=[("1", "q^(1/4)")], weights=[[2]])
     status, report = run(job)
     assert status == EXIT_INPUT_ERROR
 
@@ -93,7 +93,7 @@ def test_examples_sl3():
 
 def test_characters_scan(ai1_config):
     job = JobSpec(config=ai1_config, checks=("characters",),
-                  parameters={"1": "-q^-2"}, weights=[[n] for n in range(4)])
+                  parameters=[("1", "-q^-2")], weights=[[n] for n in range(4)])
     status, report = run(job)
     assert status == EXIT_PASS
     body = report["checks"][0]
@@ -102,7 +102,7 @@ def test_characters_scan(ai1_config):
 
 def test_invariance_checks(ai1_config):
     job = JobSpec(config=ai1_config, checks=("quasik", "spherical"),
-                  parameters={"1": "-q^-2"}, weights=[[2]])
+                  parameters=[("1", "-q^-2")], weights=[[2]])
     status, report = run(job)
     assert status == EXIT_PASS
     quasik = report["checks"][0]
@@ -114,7 +114,7 @@ def test_invariance_checks(ai1_config):
 
 def test_determinism(ai1_config, tmp_path, capsys):
     job = JobSpec(config=ai1_config, checks=("characters", "quasik"),
-                  parameters={"1": "-q^-2"}, weights=[[2]])
+                  parameters=[("1", "-q^-2")], weights=[[2]])
     outputs = []
     for _ in range(2):
         status, report = run(job)
@@ -217,6 +217,11 @@ CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
     ["characters", "ai1.json", "--c", "1=-q^-2", "--c", "0=q", "--weight", "2"],
     ["characters", "aii3_sl4.json", "--c", "1=7", "--c", "2=q", "--weight", "0,1,0"],
     ["characters", "aii3_sl4.json", "--c", "2=q", "--s", "3=1", "--weight", "0,1,0"],
+    # a repeated node kept its last value, also when "01" aliased "1"
+    ["characters", "ai1.json", "--c", "1=q", "--c", "1=-q^-2", "--weight", "2"],
+    ["characters", "ai1.json", "--c", "1=-q^-2", "--c", "01=q", "--weight", "2"],
+    ["characters", "ai1.json", "--c", "1=-q^-2", "--s", "1=1", "--s", "1=0",
+     "--weight", "2"],
     # --s without --c, and --c/--s on checks that never read them, were ignored
     ["characters", "ai1.json", "--s", "1=5", "--weight", "2"],
     ["validate", "ai1.json", "--c", "1=garbage"],
@@ -231,7 +236,8 @@ CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
     ["examples", None, "nonsense"],
     ["invariance", None],
 ], ids=["--c", "--s", "c-out-of-range", "c-node-zero", "c-black-node",
-        "s-black-node", "s-without-c", "validate-c", "module-c", "module-s",
+        "s-black-node", "c-repeated", "c-repeated-leading-zero", "s-repeated",
+        "s-without-c", "validate-c", "module-c", "module-s",
         "table1-c", "examples-s", "negative-weight-box", "usage-root-order-3",
         "usage-unknown-example", "usage-missing-config"])
 def test_malformed_parameter_flag_honours_out(tmp_path, capsys, argv):

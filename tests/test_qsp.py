@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from qspherical import Field
-from qspherical.braid import Operator, twist_operator
+from qspherical.braid import Operator, phi_diag
 from qspherical.qsp import (Parameter, ParameterError,
                             ad_Kh_parameter, chi_shift_coideal,
-                            coideal_generator, coideal_generators,
-                            distinguished_parameter, twist_parameter)
+                            coideal_generators, distinguished_parameter,
+                            twist_parameter)
 from qspherical.scalars import parse_scalar
 import qspherical.linalg as la
 
@@ -59,7 +59,7 @@ def test_coideal_generator_matrix(modules, ai1):
     c = parse_scalar("q^2", F)
     s = parse_scalar("1/2", F)
     par = Parameter(ai1, {0: c}, {0: s})
-    b = coideal_generator(0, par, m)
+    b = coideal_generators(par, m).B[0]
     expect = [[s * F.q.inverse(), c * F.q], [F.one, s * F.q]]
     assert la.mat_eq(b.mat, expect)
 
@@ -67,7 +67,7 @@ def test_coideal_generator_matrix(modules, ai1):
 def test_coideal_generator_black_conjugation(modules, aii3, params):
     # with black nodes the raising part passes through the braid conjugation
     m = modules("A", 3, (0, 1, 0))
-    b = coideal_generator(1, params["aii3"], m)
+    b = coideal_generators(params["aii3"], m).B[1]
     # weight shifts: the lowering part shifts by -alpha_2, the raising part
     # by -Theta(alpha_2) = alpha_1 + alpha_2 + alpha_3
     shifts = b.weight_shifts()
@@ -102,9 +102,9 @@ def test_twist_consistency_on_operators(modules, ai1):
     par = Parameter(ai1, {0: F.q}, {0: F.one})
     a = {0: F.q ** 2}
     tw_par = twist_parameter(a, par)
-    b = coideal_generator(0, par, m)
-    b_tw = coideal_generator(0, tw_par, m)
-    conj = twist_operator(a, b)
+    b = coideal_generators(par, m).B[0]
+    b_tw = coideal_generators(tw_par, m).B[0]
+    conj = phi_diag(a, m).inverse().conj(b)
     root = (F.q ** 2).monomial_sqrt()
     assert la.mat_eq(conj.mat, la.mat_scale(b_tw.mat, root.inverse()))
 
@@ -116,9 +116,9 @@ def test_ad_matches_conjugation(modules, ai1):
     par = Parameter(ai1, {0: F.q}, {0: F.one})
     h = (1,)
     shifted = ad_Kh_parameter(h, par)
-    b_shift = coideal_generator(0, shifted, m)
+    b_shift = coideal_generators(shifted, m).B[0]
     k = Operator(m, m.k_matrix(h))
-    b = coideal_generator(0, par, m)
+    b = coideal_generators(par, m).B[0]
     factor = F.q_power(-m.datum.pair(h, m.datum.alpha_in_X(0)))
     assert k.conj(b) == Operator(m, la.mat_scale(b_shift.mat, factor))
 
@@ -131,8 +131,8 @@ def test_coproduct_membership_spot_check(modules, ai1, field):
     m = modules("A", 1, (1,))
     par = Parameter(ai1, {0: field.q}, {0: field.one})
     t = tensor(m, m)
-    b_t = coideal_generator(0, par, t)
-    b_m = coideal_generator(0, par, m)
+    b_t = coideal_generators(par, t).B[0]
+    b_m = coideal_generators(par, m).B[0]
     kinv = m.k_i_matrix(0, -1)
     ident = la.identity(m.dim, field)
     expect = la.kron(b_m.mat, kinv, field)

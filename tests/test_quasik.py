@@ -12,8 +12,7 @@ from qspherical.qsp import (Parameter, ParameterError, coideal_generators,
                             distinguished_parameter)
 from qspherical.quasik import (IntertwinerError, _uniform_normal_form,
                                _unipotent_inverse, quasi_k, verify_intertwining,
-                               wz_character_check, wz_on_vector, wz_operator,
-                               wz_precompose)
+                               wz_character_check, wz_operator, wz_precompose)
 from qspherical.rootdata import satake_from_config
 import qspherical.linalg as la
 
@@ -129,7 +128,7 @@ def test_spherical_vector_maps_to_multiple(modules, ai1, params):
     par = params["ai1_dist"]
     gens = coideal_generators(par, m)
     for line in find_spherical_lines(m, gens, par):
-        image = wz_on_vector(0, par, line.vector)
+        image = wz_operator(0, par, m).apply(line.vector)
         assert image.proportional_to(line.vector)
 
 
@@ -272,3 +271,18 @@ def test_duplicated_raising_word_is_underdetermined(modules, ai1, params,
     pairs = _rank_one_generators(0, par, m)
     with pytest.raises(IntertwinerError, match="underdetermined"):
         _solve_intertwiner(0, par.satake, pairs, m)
+
+
+def test_rank_one_torus_sign_leaves_the_intertwiner(modules, aiii3_sl4, params):
+    # the rank-one system takes its torus generator from the coideal's, so at
+    # the second node of a tau-pair K_h carries the first node's sign; K_-h
+    # in its place rescales the rows and gives the same solution
+    from qspherical.quasik import _rank_one_generators, _solve_intertwiner
+    m = modules("A", 3, (0, 1, 0))
+    pairs = _rank_one_generators(2, params["aiii3_sl4"], m)
+    assert len(pairs) == 3          # B_2, B_0 and K_h with h = (1, 0, -1)
+    assert la.mat_eq(pairs[2][0], m.k_matrix((-1, 0, 1)))
+    flipped = pairs[:2] + [tuple(la.bar_matrix(x) for x in pairs[2])]
+    u = _solve_intertwiner(2, aiii3_sl4, pairs, m)
+    assert not u.is_identity()
+    assert u == _solve_intertwiner(2, aiii3_sl4, flipped, m)

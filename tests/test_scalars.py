@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -114,21 +115,42 @@ def test_parse_division_after_a_power():
     assert parse_scalar("q^-3/2", F) == F.v_power(-3)
 
 
-def _golden_module_scalars():
-    for path in sorted((pathlib.Path(__file__).parent / "golden").glob("module_*.json")):
-        for check in json.loads(path.read_text())["checks"]:
-            for module in check["modules"]:
-                for key in ("lowering", "raising"):
-                    for mat in module[key].values():
-                        yield from (x for row in mat for x in row)
+# matrix entries per module report; a report named rootN_... was written at
+# root order N, one without that prefix at root order 2
+GOLDEN_MODULE_SCALARS = {
+    "module_ai1.json": 32,
+    "module_aii3_sl4.json": 2400,
+    "module_aiii3_sl4.json": 216,
+    "module_aiii3_sl4_weight101.json": 1350,
+    "module_aiii_sl3.json": 900,
+    "module_bii_so5_weight11.json": 1024,
+    "root1_module_bii_so5_weight11.json": 1024,
+}
+
+
+def _golden_module_scalars(path):
+    for check in json.loads(path.read_text())["checks"]:
+        for module in check["modules"]:
+            for key in ("lowering", "raising"):
+                for mat in module[key].values():
+                    yield from (x for row in mat for x in row)
 
 
 def test_golden_module_scalars_round_trip():
-    """Every matrix entry of the module reports reads back to the same text."""
-    texts = list(_golden_module_scalars())
-    assert len(texts) == 5922
-    bad = [t for t in texts if parse_scalar(t, F).serialize() != t]
-    assert not bad, bad[:5]
+    """Every matrix entry of the module reports reads back to the same text,
+    parsed at the root order of its report."""
+    golden = pathlib.Path(__file__).parent / "golden"
+    counts = {}
+    paths = sorted(golden.glob("module_*.json")) + sorted(golden.glob("root*_module_*.json"))
+    for path in paths:
+        prefix = re.match(r"root(\d+)_", path.name)
+        field = Field(int(prefix.group(1))) if prefix else F
+        texts = list(_golden_module_scalars(path))
+        counts[path.name] = len(texts)
+        bad = [t for t in texts if parse_scalar(t, field).serialize() != t]
+        assert not bad, (path.name, bad[:5])
+    assert counts == GOLDEN_MODULE_SCALARS
+    assert sum(n for name, n in counts.items() if name.startswith("module_")) == 5922
 
 
 def test_serialization_shape():
