@@ -9,6 +9,8 @@ operators attached to a parameter.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -98,7 +100,8 @@ def lusztig_T(i: int, e: int, kind: str, module: WeightModule) -> Operator:
     On a weight vector of pairing value p with the coroot, the sum runs over
     triples (a, b, c) with a - b + c = p for the prime kind (lowering words
     outside) and a - b + c = -p for the double-prime kind (raising words
-    outside); each term carries (-1)^b q_i^(e(b - ac)).
+    outside); each term carries (-1)^b q_i^(e(b - ac)).  The divided powers
+    are applied through the nonzero entries of their columns.
     """
     if e not in (1, -1):
         raise OperatorError("sign must be +1 or -1")
@@ -107,44 +110,54 @@ def lusztig_T(i: int, e: int, kind: str, module: WeightModule) -> Operator:
     field = module.field
     datum = module.datum
     dim = module.dim
-    fpow = _divided_powers(module, module.f_mats[i], i)
-    epow = _divided_powers(module, module.e_mats[i], i)
+    fpow = [linalg.nonzero_columns(m)
+            for m in _divided_powers(module, module.f_mats[i], i)]
+    epow = [linalg.nonzero_columns(m)
+            for m in _divided_powers(module, module.e_mats[i], i)]
     out = linalg.zeros(dim, dim, field)
     outer, inner = (fpow, epow) if kind == "prime" else (epow, fpow)
     for col in range(dim):
         p = int(module.weights[col][i])
         target = p if kind == "prime" else -p
-        vec = [field.zero] * dim
-        vec[col] = field.one
         for c in range(len(outer)):
-            first = linalg.mat_vec(outer[c], vec)
-            if all(not x for x in first):
+            first = dict(outer[c][col])
+            if not first:
                 continue
             for b in range(len(inner)):
-                second = linalg.mat_vec(inner[b], first)
-                if all(not x for x in second):
-                    continue
                 a = target + b - c
                 if a < 0 or a >= len(outer):
                     continue
-                third = linalg.mat_vec(outer[a], second)
-                if all(not x for x in third):
+                second = _apply_columns(inner[b], first)
+                if not second:
+                    continue
+                third = _apply_columns(outer[a], second)
+                if not third:
                     continue
                 scal = field.q_power(Fraction(e * (b - a * c) * datum.d[i]))
                 if b % 2:
                     scal = -scal
-                for r in range(dim):
-                    if third[r]:
-                        out[r][col] = out[r][col] + scal * third[r]
+                for r, x in third.items():
+                    out[r][col] = out[r][col] + scal * x
     return Operator(module, out)
 
 
+def _apply_columns(cols: list, vec: dict) -> dict:
+    """The product of a matrix, given by its nonzero columns, with a sparse
+    vector {index: value}; only the nonzero entries are kept."""
+    out = {}
+    for k, y in vec.items():
+        for r, x in cols[k]:
+            out[r] = out[r] + x * y if r in out else x * y
+    return {r: x for r, x in out.items() if x}
+
+
 def lusztig_T_word(word, e: int, kind: str, module: WeightModule) -> Operator:
-    """Composite braid operator along a reduced word, leftmost factor first."""
-    out = Operator.identity(module)
-    for i in word:
-        out = out @ lusztig_T(i, e, kind, module)
-    return out
+    """Composite braid operator along a reduced word, leftmost factor first;
+    one rank-one operator per distinct letter."""
+    if not word:
+        return Operator.identity(module)
+    factors = {i: lusztig_T(i, e, kind, module) for i in dict.fromkeys(word)}
+    return functools.reduce(operator.matmul, (factors[i] for i in word))
 
 
 def phi_diag(a: dict, module: SimpleModule) -> Operator:

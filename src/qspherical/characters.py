@@ -3,8 +3,10 @@
 The candidate eigenvalues on nonsplit nodes come from the closed rank-one
 formula with an integer label; all other coideal generators act by zero on
 the white part, by the counit on the black part, and by a weight power on
-the torus part.  Each candidate value system is solved exactly as a joint
-nullspace; multiplicity one is enforced, never assumed.
+the torus part.  The torus generators are diagonal, so their conditions
+select a support, the basis vectors of the right torus weight, and each
+candidate value system is solved exactly as a joint nullspace on it;
+multiplicity one is enforced, never assumed.
 """
 
 from __future__ import annotations
@@ -90,25 +92,43 @@ def eigenvalue(c: FieldElem, s: FieldElem, d_i: int, l: int,
     plus the s-part, which collapses to s (q_i^l + q_i^-l)/2.
     """
     field = field or c.field
+    root = _discriminant_root(c, s, d_i, field) if l else None
+    return _label_value(root, s, d_i, l, field)
+
+
+def _discriminant_root(c: FieldElem, s: FieldElem, d_i: int,
+                       field: Field) -> FieldElem | None:
+    """sqrt(s^2 + 4 q_i c/(q_i - q_i^-1)^2), or None outside Q(i)(v)."""
+    qi = field.q_power(Fraction(d_i))
+    disc = s * s + field.rational(4) * qi * c * ((qi - qi.inverse()) ** 2).inverse()
+    return disc.field_sqrt()
+
+
+def _label_value(root: FieldElem | None, s: FieldElem, d_i: int, l: int,
+                 field: Field) -> FieldElem | None:
+    """The eigenvalue of label l from the discriminant's root, or None when
+    the label needs a root that does not exist."""
     if l == 0:
         return s       # the root enters with coefficient zero
-    qi = field.q_power(Fraction(d_i))
-    qiinv = qi.inverse()
-    disc = s * s + field.rational(4) * qi * c * ((qi - qiinv) ** 2).inverse()
-    root = disc.field_sqrt()
     if root is None:
         return None
+    qi = field.q_power(Fraction(d_i))
     half = field.rational(Fraction(1, 2))
     return ((qi ** l - qi ** (-l)) * half * root
             + s * (qi ** l + qi ** (-l)) * half)
 
 
 def _candidate_values(param: Parameter, i: int, bound: int) -> list:
-    """Distinct candidate eigenvalues at a nonsplit node, labels in [-bound, bound]."""
+    """Distinct candidate eigenvalues at a nonsplit node, labels in [-bound, bound].
+
+    The discriminant's root depends on the node only, so it is taken once.
+    """
+    c, s, d_i = param.c[i], param.s[i], param.satake.datum.d[i]
+    root = _discriminant_root(c, s, d_i, c.field) if bound else None
     out = []
     seen = set()
     for l in range(-bound, bound + 1):
-        val = eigenvalue(param.c[i], param.s[i], param.satake.datum.d[i], l)
+        val = _label_value(root, s, d_i, l, c.field)
         if val is None:
             warnings.warn(
                 f"skipping label {l} at node {i}: the eigenvalue discriminant "
@@ -121,45 +141,69 @@ def _candidate_values(param: Parameter, i: int, bound: int) -> list:
     return out
 
 
-def _eigen_rows(mat: list, value: FieldElem) -> list:
-    """Rows of the condition X v = value v."""
-    rows = [list(row) for row in mat]
-    for r, row in enumerate(rows):
-        row[r] = row[r] - value
-    return rows
+def _eigen_rows(mat: list, value: FieldElem, support: list) -> list:
+    """Rows of the condition X v = value v on the vectors supported on the
+    given basis indices, restricted to those columns."""
+    return [[row[k] - value if k == r else row[k] for k in support]
+            for r, row in enumerate(mat)]
 
 
-def _black_torus_rows(module: SimpleModule, gens: CoidealGenerators, lam) -> list:
-    """Rows of the black annihilation conditions E_j v = F_j v = 0 and the
-    torus eigenconditions K_h v = q^<h,lam> v.
+def _torus_support(module: SimpleModule, gens: CoidealGenerators, lam) -> list:
+    """The basis indices on which every torus generator K_h of the coideal
+    acts by its value q^<h, lam>: the weights mu with <h, mu> = <h, lam>.
 
-    A dual line satisfies the same rows: the contravariant form swaps E_j and
-    F_j and fixes K_h.
+    K_h is diagonal, so its eigenconditions are this support and nothing
+    else; a dual line has the same support, since the contravariant form
+    fixes K_h.
     """
-    field = module.field
+    pair = module.datum.pair
+    hs = [h for h, _ in gens.torus]
+    target = [pair(h, lam) for h in hs]
+    return [idx for idx, mu in enumerate(module.weights)
+            if [pair(h, mu) for h in hs] == target]
+
+
+def _black_rows(module: SimpleModule, gens: CoidealGenerators, support: list) -> list:
+    """Rows of the black annihilation conditions E_j v = F_j v = 0 on the
+    support.  A dual line satisfies the same rows: the contravariant form
+    swaps E_j and F_j."""
     rows = []
     for j in sorted(gens.param.satake.black):
-        rows.extend(module.e_mats[j])
-        rows.extend(module.f_mats[j])
-    for h, op in gens.torus:
-        rows.extend(_eigen_rows(op.mat, field.q_power(module.datum.pair(h, lam))))
+        for mat in (module.e_mats[j], module.f_mats[j]):
+            rows.extend([row[k] for k in support] for row in mat)
     return rows
+
+
+def _support_kernel(module: SimpleModule, rows: list, support: list) -> list:
+    """The joint kernel of rows restricted to the support columns, each
+    vector embedded back into the module with zeros off the support."""
+    field = module.field
+    rows = [row for row in rows if any(row)]
+    out = []
+    for vec in linalg.nullspace(rows, len(support), field):
+        full = [field.zero] * module.dim
+        for k, x in zip(support, vec):
+            full[k] = x
+        out.append(full)
+    return out
 
 
 def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
                          param: Parameter) -> list:
     """All one-dimensional coideal submodules of the module.
 
-    Stacks the black annihilation conditions, the torus eigenconditions and
-    the white eigenconditions for each candidate value tuple, and keeps the
-    one-dimensional joint kernels.
+    The torus eigenconditions select the support, the basis vectors whose
+    weight carries the torus character of lam.  On it, stacks the black
+    annihilation conditions and the white eigenconditions for each
+    candidate value tuple, and keeps the one-dimensional joint kernels.
     """
     satake = param.satake
     field = module.field
     lam = module.lam
     datum = satake.datum
     w0lam = datum.act_word_X(datum.w0_word(), lam)
-    base_rows = _black_torus_rows(module, gens, lam)
+    support = _torus_support(module, gens, lam)
+    base_rows = _black_rows(module, gens, support)
     node_candidates = []
     nodes = sorted(satake.I_circ)
     for i in nodes:
@@ -173,8 +217,8 @@ def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
         values = {i: v for i, (v, _) in zip(nodes, combo)}
         rows = list(base_rows)
         for i in nodes:
-            rows.extend(_eigen_rows(gens.B[i].mat, values[i]))
-        kernel = linalg.nullspace(rows, module.dim, field)
+            rows.extend(_eigen_rows(gens.B[i].mat, values[i], support))
+        kernel = _support_kernel(module, rows, support)
         if not kernel:
             continue
         if len(kernel) > 1:
@@ -197,12 +241,14 @@ def dual_spherical_vector(module: SimpleModule, gens: CoidealGenerators,
 
     Right action through the adjoint rho for the contravariant form: the
     conditions are rho(E_j) f = F_j f = 0, rho(F_j) f = E_j f = 0,
-    K_h f = q^<h,lam> f and rho(B_i) f = value f.
+    K_h f = q^<h,lam> f (the torus support) and rho(B_i) f = value f.
     """
-    rows = _black_torus_rows(module, gens, lam)
+    support = _torus_support(module, gens, lam)
+    rows = _black_rows(module, gens, support)
     for i in sorted(gens.param.satake.I_circ):
-        rows.extend(_eigen_rows(module.rho_twist_matrix(gens.B[i].mat), b_values[i]))
-    kernel = linalg.nullspace(rows, module.dim, module.field)
+        rows.extend(_eigen_rows(module.rho_twist_matrix(gens.B[i].mat),
+                                b_values[i], support))
+    kernel = _support_kernel(module, rows, support)
     if not kernel:
         raise NoDualLine(f"no dual line with values {b_values} on L{tuple(lam)}")
     if len(kernel) > 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .characters import (MultiplicityViolation, NoDualLine, akin_character,
@@ -377,7 +378,12 @@ def _emit(report: dict, out: str | None):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe early, as `| head` does: the rest of
+            # the output, and the flush at exit, go to devnull instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_kv(items) -> list:

@@ -13,11 +13,12 @@ rational-function gcds blow up.
 `column_relations` answers every exact linear question over Q(i)(v), and is
 the only caller of `_integer_rows`, `_echelonize` and `_kernel_vector`: it
 reads the relation of each non-pivot column off the echelon rows by back
-substitution.  The kernel basis (`nullspace`), a Gram block's pivot columns,
-the quasi-K raising words and intertwiner, `solve` and `invert` all come from
-it: column j of the answer to A X = B is the relation of column n + j of
-[A | -B].  A modular evaluation screen first certifies full rank; it never
-decides equality.  Over Q, `integer_kernel_basis` is the one kernel.
+substitution.  The kernel basis (`nullspace`, which finds spherical and
+dual lines on their torus supports), a Gram block's pivot columns, the
+quasi-K raising words (one degree at a time) and each degree block of the
+intertwiner, `solve` and `invert` all come from it: column j of the answer
+to A X = B is the relation of column n + j of [A | -B].  A modular
+evaluation screen first certifies full rank; it never decides equality.  Over Q, `integer_kernel_basis` is the one kernel.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ def mat_vec(a: list, v: list) -> list:
             if x:
                 acc = acc + x * y
         out[r] = acc
+    return out
+
+
+def nonzero_columns(a: list) -> list:
+    """For each column of a square matrix, its nonzero entries as (row, value)."""
+    out = [[] for _ in a]
+    for r, row in enumerate(a):
+        for c, x in enumerate(row):
+            if x:
+                out[c].append((r, x))
     return out
 
 

@@ -180,11 +180,13 @@ class CoidealGenerators:
         satake = param.satake
         field = module.field
         self.B = {}
-        tww = lusztig_T_word(satake.w_black, 1, "doubleprime", module)
+        # with no black nodes T_w_black is the identity
+        tww = (lusztig_T_word(satake.w_black, 1, "doubleprime", module)
+               if satake.w_black else None)
         for i in satake.I_circ:
             ti = satake.tau[i]
-            e_conj = tww.conj(Operator(module, module.e_mats[ti]))
-            mat = linalg.mat_mul(e_conj.mat, module.k_i_matrix(i, -1))
+            e_conj = tww.conj(module.e_mats[ti]).mat if tww else module.e_mats[ti]
+            mat = linalg.mat_mul(e_conj, module.k_i_matrix(i, -1))
             mat = linalg.mat_scale(mat, param.c[i])
             mat = linalg.mat_add(module.f_mats[i], mat)
             if param.s[i]:

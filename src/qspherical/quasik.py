@@ -10,9 +10,13 @@ the positive monomial twist to the uniform normal form b c; the twist
 direction is fixed by equivariance of the relative operators under parameter
 rescaling.
 
-The system is one column relation: the columns left W - W right for the
-raising words W, then left - right, whose relation (x, 1) gives the
-intertwiner I + sum x_w W.
+The system is weight-graded, as in the recursion for the quasi-K matrix
+Upsilon = sum Upsilon_mu (Kolb 2014, Balagovic-Kolb 2019): the torus
+generators confine the raising words W to the degrees they commute with,
+and the rest is solved degree by degree in height order, each degree one
+column relation (the columns left W - W right of its words, then the
+right-hand side given the lower degrees, whose relation (x, 1) gives its
+part of the intertwiner I + sum x_w W).
 """
 
 from __future__ import annotations
@@ -68,6 +72,14 @@ def _uniform_image(i: int, param: Parameter) -> Parameter:
     return Parameter(param.satake, c, param.s)
 
 
+def _subdiagram_torus(i: int, satake) -> list:
+    """The torus generators h of the coideal supported on the rank-one
+    subdiagram: on the black nodes and on i and tau(i)."""
+    support = set(satake.black) | {i, satake.tau[i]}
+    return [h for h in satake.theta_fixed_torus_generators()
+            if all(k in support for k, x in enumerate(h) if x)]
+
+
 def _rank_one_generators(i: int, param: Parameter, module: SimpleModule,
                          right: Parameter | None = None) -> list:
     """The defining system of the rank-one intertwiner U at a white node, as
@@ -78,7 +90,7 @@ def _rank_one_generators(i: int, param: Parameter, module: SimpleModule,
     uniform image of param at i.  The i-bar involution fixes the white
     generators and the black Chevalley generators and inverts the torus
     generators.  The torus generators are those of the coideal supported on
-    the rank-one subdiagram: on the black nodes and on i and tau(i).
+    the rank-one subdiagram.
     """
     satake = param.satake
     right = right or _uniform_image(i, param)
@@ -89,75 +101,150 @@ def _rank_one_generators(i: int, param: Parameter, module: SimpleModule,
     for j in sorted(satake.black):
         mats.append((gl.black_E[j].mat, gr.black_E[j].mat))
         mats.append((gl.black_F[j].mat, gr.black_F[j].mat))
-    support = set(satake.black) | {i, ti}
+    torus = _subdiagram_torus(i, satake)
     for h, k_h in gl.torus:
-        if all(k in support for k, x in enumerate(h) if x):
+        if h in torus:
             mats.append((module.k_matrix(tuple(-x for x in h)), k_h.mat))
     return [(left, linalg.bar_matrix(g)) for left, g in mats]
 
 
 def _raising_word_matrices(module, alphabet) -> list:
     """Linearly independent matrices of nonconstant raising words over the
-    subdiagram alphabet, by breadth-first products of the raising generators.
+    subdiagram alphabet, each with its degree, by breadth-first products of
+    the raising generators.
 
-    A word of length k raises weights by a root of height k, so words of
-    different lengths are independent, and the words longer than the
-    module's height span are zero.  At each length the nonzero products of
-    the previous length's words with each letter are kept, in order, unless
-    they depend on the ones before them.
+    A word's degree is the sum of its letters' simple roots, as a weight, and
+    the word raises weights by it; so words of different degrees occupy
+    disjoint entries, and the words longer than the module's height span are
+    zero.  At each length the nonzero products of the previous length's
+    words with each letter are kept, in order, unless they depend on the
+    ones of the same degree before them.
     """
     field = module.field
-    dim = module.dim
+    datum = module.datum
     # closing over independent representatives only is complete: products of
     # dependent words stay inside the span of products of independent ones
-    frontier = [linalg.identity(dim, field)]
+    frontier = [((0,) * datum.n, linalg.identity(module.dim, field))]
     independent = []
     while frontier:
         cands = []
-        for mat in frontier:
+        for deg, mat in frontier:
             for j in alphabet:
                 prod = linalg.mat_mul(module.e_mats[j], mat)
                 if not linalg.is_zero_matrix(prod):
-                    cands.append(prod)
-        # one column per candidate, one row per matrix entry
-        vectorized = [[w[r][c] for w in cands]
-                      for r in range(dim) for c in range(dim)]
-        relations = linalg.column_relations(vectorized, len(cands), field)
-        frontier = [w for t, w in enumerate(cands) if t not in relations]
+                    cands.append((tuple(a + b for a, b in
+                                        zip(deg, datum.alpha_in_X(j))), prod))
+        dependent = set()
+        for deg in dict.fromkeys(deg for deg, _ in cands):
+            ix = [t for t, (d, _) in enumerate(cands) if d == deg]
+            # one column per candidate, one row per entry of the degree
+            vectorized = [[cands[t][1][r][c] for t in ix]
+                          for r, c in _entries_of_degree(module, deg)]
+            relations = linalg.column_relations(vectorized, len(ix), field)
+            dependent.update(ix[a] for a in relations)
+        frontier = [w for t, w in enumerate(cands) if t not in dependent]
         independent.extend(frontier)
     return independent
+
+
+def _entries_of_degree(module, deg) -> list:
+    """The entries (r, c) where an operator raising weights by deg can be
+    nonzero: weight r = weight c + deg."""
+    out = []
+    for mu, cols in module.blocks.items():
+        rows = module.blocks.get(tuple(a + b for a, b in zip(mu, deg)), ())
+        out.extend((r, c) for r in rows for c in cols)
+    return out
 
 
 def _solve_intertwiner(i: int, satake, pairs: list,
                        module: SimpleModule) -> Operator:
     """The unique I + sum x_w W over the raising words W of the rank-one
-    subdiagram with left U = U right for every pair of the system."""
+    subdiagram with left U = U right for every pair of the system.
+
+    The torus pairs are supports: for a word W of degree beta,
+    K_-h W - W bar(K_h) = (q^-<h, beta> - 1) W K_-h, so only the words with
+    <h, beta> = 0 for every torus generator h of the subdiagram enter, and
+    their torus rows vanish.  The rest is solved degree by degree, in height
+    order.  Each entry of a pair's left W - W right is a row, which belongs
+    to the highest degree among the words it touches; the lower degrees are
+    already solved and move to the right-hand side with the constant
+    left - right.  Each block is one column relation: the word columns,
+    then the right-hand side, whose relation (x, 1) gives the block's
+    coefficients.  The F_j rows of a block already determine it, since a
+    raising element commuting with every F_j of the alphabet acts by zero;
+    so a block falls short of full column rank only when its words are
+    dependent, and then so does the whole system.
+    """
     field = module.field
+    datum = satake.datum
     alphabet = sorted(set(satake.black) | {i, satake.tau[i]})
-    words = _raising_word_matrices(module, alphabet)
-    dim = module.dim
-    rows = []
-    for left, right in pairs:
-        cols = [linalg.mat_sub(linalg.mat_mul(left, w), linalg.mat_mul(w, right))
-                for w in words] + [linalg.mat_sub(left, right)]
-        for r in range(dim):
-            for c in range(dim):
-                row = [col[r][c] for col in cols]
-                if any(row):
-                    rows.append(row)
-    relations = linalg.column_relations(rows, len(words) + 1, field)
-    x = relations.pop(len(words), None)
-    if x is None:
-        raise IntertwinerError(
-            f"intertwiner system is inconsistent at node {i}; "
-            "the rank-one restriction is not uniform")
-    if relations:
-        raise IntertwinerError("intertwiner system is underdetermined")
-    mat = linalg.identity(dim, field)
-    for coeff, w in zip(x, words):
+    torus = _subdiagram_torus(i, satake)
+    words = [(deg, w) for deg, w in _raising_word_matrices(module, alphabet)
+             if not any(datum.pair(h, deg) for h in torus)]
+    degrees = list(dict.fromkeys(deg for deg, _ in words))
+    block = [degrees.index(deg) for deg, _ in words]
+    entries = [[(r, c, w[r][c]) for r, c in _entries_of_degree(module, deg)
+                if w[r][c]] for deg, w in words]
+    inconsistent = IntertwinerError(
+        f"intertwiner system is inconsistent at node {i}; "
+        "the rank-one restriction is not uniform")
+    by_block = [[] for _ in degrees]
+    for row in _system_rows(pairs, entries):
+        touched = [block[t] for t, y in row.items() if t is not None and y]
+        if touched:
+            by_block[max(touched)].append(row)
+        elif row.get(None):
+            raise inconsistent
+    x = [None] * len(words)
+    for k, block_rows in enumerate(by_block):
+        cols = [t for t in range(len(words)) if block[t] == k]
+        system = []
+        for row in block_rows:
+            rhs = row.get(None, field.zero)
+            for t, y in row.items():
+                if t is not None and block[t] < k and y and x[t]:
+                    rhs = rhs + y * x[t]
+            system.append([row.get(t, field.zero) for t in cols] + [rhs])
+        relations = linalg.column_relations(system, len(cols) + 1, field)
+        sol = relations.pop(len(cols), None)
+        if sol is None:
+            raise inconsistent
+        if relations:
+            raise IntertwinerError("intertwiner system is underdetermined")
+        for t, y in zip(cols, sol):
+            x[t] = y
+    mat = linalg.identity(module.dim, field)
+    for coeff, ent in zip(x, entries):
         if coeff:
-            mat = linalg.mat_add(mat, linalg.mat_scale(w, coeff))
+            for r, c, y in ent:
+                mat[r][c] = mat[r][c] + coeff * y
     return Operator(module, mat)
+
+
+def _system_rows(pairs: list, entries: list) -> list:
+    """The rows of left U = U right over every pair, one per entry (r, c) of
+    the pair: word index t -> the entry of left W_t - W_t right, and None ->
+    the entry of left - right.  The words are given by their nonzero
+    entries (r, c, value), and the products run over nonzero entries only.
+    """
+    rows = {}    # (pair, r, c) -> row
+    for p, (left, right) in enumerate(pairs):
+        left_cols = linalg.nonzero_columns(left)
+        right_rows = linalg.nonzero_columns(linalg.transpose(right))
+        for t, ent in enumerate(entries):
+            for r, c, w in ent:
+                for r2, y in left_cols[r]:
+                    row = rows.setdefault((p, r2, c), {})
+                    row[t] = row[t] + y * w if t in row else y * w
+                for c2, y in right_rows[c]:
+                    row = rows.setdefault((p, r, c2), {})
+                    row[t] = row[t] - w * y if t in row else -(w * y)
+        for r, (lrow, rrow) in enumerate(zip(left, right)):
+            for c, (a, b) in enumerate(zip(lrow, rrow)):
+                if a != b:
+                    rows.setdefault((p, r, c), {})[None] = a - b
+    return list(rows.values())
 
 
 def _uniform_normal_form(i: int, param: Parameter):

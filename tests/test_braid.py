@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from qspherical import Field
@@ -236,3 +239,66 @@ def test_rescaled_operator_inverse_without_elimination(modules, ai1, aiii_sl3,
         resc = rescaled_T(0, params[key], m)
         assert la.mat_eq(resc.inverse().mat, inv)
         assert (resc @ resc.inverse()).is_identity()
+
+
+# -- the dense per-column triple sum, kept as a reference --
+
+def _reference_lusztig_T(i, e, kind, module):
+    """Each column by dense matrix-vector products with the divided powers."""
+    from fractions import Fraction
+    from qspherical.modules import _divided_powers
+    field = module.field
+    dim = module.dim
+    fpow = _divided_powers(module, module.f_mats[i], i)
+    epow = _divided_powers(module, module.e_mats[i], i)
+    outer, inner = (fpow, epow) if kind == "prime" else (epow, fpow)
+    out = la.zeros(dim, dim, field)
+    for col in range(dim):
+        p = int(module.weights[col][i])
+        target = p if kind == "prime" else -p
+        vec = [field.one if k == col else field.zero for k in range(dim)]
+        for c in range(len(outer)):
+            for b in range(len(inner)):
+                a = target + b - c
+                if not 0 <= a < len(outer):
+                    continue
+                third = la.mat_vec(outer[a], la.mat_vec(inner[b], la.mat_vec(outer[c], vec)))
+                scal = (-1) ** b * field.q_power(Fraction(e * (b - a * c) * module.datum.d[i]))
+                for r in range(dim):
+                    out[r][col] = out[r][col] + scal * third[r]
+    return out
+
+
+CONFIG_PATHS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.json"))
+CONFIG_WEIGHTS = {"ai1": [(3,)], "aii3_sl4": [(0, 1, 0)], "aiii3_sl4": [(1, 0, 1)],
+                  "aiii_sl3": [(2, 1)], "bii_so5": [(1, 0), (1, 1)]}
+
+
+@pytest.mark.parametrize("root_order", (1, 4))
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: p.stem)
+def test_nonzero_columns_match_the_dense_triple_sum(path, root_order):
+    # bii_so5 has d_i = 2 at its first node
+    from qspherical.modules import build_simple
+    from qspherical.rootdata import satake_from_config
+    field = Field(root_order)
+    datum = satake_from_config(json.loads(path.read_text())).datum
+    for lam in CONFIG_WEIGHTS[path.stem]:
+        m = build_simple(datum, lam, field)
+        for i in range(datum.n):
+            for e in (1, -1):
+                for kind in ("prime", "doubleprime"):
+                    assert lusztig_T(i, e, kind, m).mat == \
+                        _reference_lusztig_T(i, e, kind, m)
+
+
+def test_word_builds_one_operator_per_letter(modules, monkeypatch):
+    import qspherical.braid as braid
+    calls = []
+    single = braid.lusztig_T
+    monkeypatch.setattr(braid, "lusztig_T",
+                        lambda i, *args: calls.append(i) or single(i, *args))
+    m = modules("A", 2, (1, 1))
+    word = lusztig_T_word((0, 1, 0), 1, "prime", m)
+    assert sorted(calls) == [0, 1]
+    t0, t1 = single(0, 1, "prime", m), single(1, 1, "prime", m)
+    assert word == t0 @ t1 @ t0

@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from qspherical.characters import (NoDualLine, akin_character,
                                    dual_spherical_vector, eigenvalue,
                                    find_dual_spherical, find_spherical_lines,
                                    hermitian_scan, line_character_values)
+from qspherical.modules import build_simple
 from qspherical.qsp import Parameter, chi_shift_coideal, coideal_generators
 from qspherical.scalars import parse_scalar
 import qspherical.linalg as la
@@ -192,3 +195,75 @@ def test_transport_of_characters_under_twist(modules, ai1, field):
     vals = sorted(str(ln.character.b_values[0] * root) for ln in lines)
     vals_tw = sorted(str(ln.character.b_values[0]) for ln in lines_tw)
     assert vals == vals_tw
+
+
+# -- the stacked torus rows, kept as a reference for the torus supports --
+
+CONFIG_DIR = pathlib.Path(__file__).parent.parent / "configs"
+CONFIG_PATHS = sorted(CONFIG_DIR.glob("*.json"))
+CONFIG_WEIGHTS = {"ai1": [(2,), (3,), (4,)], "aii3_sl4": [(0, 1, 0), (0, 2, 0)],
+                  "aiii3_sl4": [(0, 1, 0), (1, 0, 1)],
+                  "aiii_sl3": [(1, 0), (1, 1), (2, 1)], "bii_so5": [(1, 0), (1, 1)]}
+
+
+def _stacked_kernel(module, gens, lam, white):
+    """The joint kernel over the whole module of the black rows, the torus
+    eigen-rows K_h - q^<h, lam> and the white rows X - value."""
+    field = module.field
+    rows = []
+    for j in sorted(gens.param.satake.black):
+        rows += module.e_mats[j] + module.f_mats[j]
+    eigen = [(op.mat, field.q_power(module.datum.pair(h, lam))) for h, op in gens.torus]
+    for mat, value in eigen + white:
+        rows += [[x - value if r == c else x for c, x in enumerate(row)]
+                 for r, row in enumerate(mat)]
+    return la.nullspace(rows, module.dim, field)
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: p.stem)
+def test_support_kernels_match_the_stacked_torus_rows(path):
+    # every candidate value tuple, for lines (B_i) and dual lines (rho(B_i)),
+    # with or without a solution
+    import itertools
+    from qspherical.characters import (_black_rows, _candidate_values,
+                                       _eigen_rows, _support_kernel,
+                                       _torus_support)
+    from qspherical.qsp import distinguished_parameter
+    from qspherical.rootdata import satake_from_config
+    satake = satake_from_config(json.loads(path.read_text()))
+    datum = satake.datum
+    par = distinguished_parameter(satake, F)
+    nodes = sorted(satake.I_circ)
+    found = 0
+    for lam in CONFIG_WEIGHTS[path.stem]:
+        m = build_simple(datum, lam, F)
+        gens = coideal_generators(par, m)
+        support = _torus_support(m, gens, lam)
+        w0lam = datum.act_word_X(datum.w0_word(), lam)
+        values = [_candidate_values(par, i, int(lam[i] - w0lam[i]))
+                  if i in satake.I_ns else [(F.zero, None)] for i in nodes]
+        for combo in itertools.product(*values):
+            for twist in (lambda x: x, m.rho_twist_matrix):
+                white = [(twist(gens.B[i].mat), v) for i, (v, _) in zip(nodes, combo)]
+                rows = _black_rows(m, gens, support)
+                for mat, v in white:
+                    rows += _eigen_rows(mat, v, support)
+                got = _support_kernel(m, rows, support)
+                assert got == _stacked_kernel(m, gens, lam, white)
+                found += len(got)
+    assert found
+
+
+def test_candidate_values_take_one_root_per_node(modules, ai1, params,
+                                                 monkeypatch):
+    from qspherical.characters import _candidate_values
+    from qspherical.scalars import FieldElem
+    roots = []
+    sqrt = FieldElem.field_sqrt
+    monkeypatch.setattr(FieldElem, "field_sqrt",
+                        lambda self: roots.append(self) or sqrt(self))
+    par = params["ai1_dist"]
+    got = _candidate_values(par, 0, 4)
+    assert len(roots) == 1
+    assert got == [(eigenvalue(par.c[0], par.s[0], 1, l), l)
+                   for l in (0, 1, -1, 2, -2, 3, -3, 4, -4)]

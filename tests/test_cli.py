@@ -305,3 +305,23 @@ def test_invariance_makes_no_solve_call(tmp_path, monkeypatch, config, c_args, w
     out = tmp_path / "report.json"
     assert main(["invariance", "--config", str(CONFIGS / config)] + c_args
                 + ["--weight", weight, "--out", str(out)]) == EXIT_PASS
+
+
+def test_closed_stdout_keeps_the_run_status():
+    # `qspherical module ... | head -c 300`: the report (about 146 kB) is
+    # larger than a pipe's buffer, so the run is still writing when the
+    # reader closes the pipe; it exits with its own status and no traceback
+    import os
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).parent.parent
+    argv = ["module", "--config", str(root / "configs" / "aiii3_sl4.json"),
+            "--weight", "1,0,1", "--weight", "0,2,0", "--weight", "1,1,0"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "qspherical.cli"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(300).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == EXIT_PASS, err
+    assert "Traceback" not in err

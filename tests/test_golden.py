@@ -57,6 +57,8 @@ CASES = (
          + ["--c", "1=-q^-2"] + _weights("4")),
         ("invariance_aiii_sl3_weight21", ["invariance"] + _config("aiii_sl3")
          + HALF + _weights("2,1")),
+        ("invariance_aiii_sl3_weight22", ["invariance"] + _config("aiii_sl3")
+         + HALF + _weights("2,2")),
         # root orders 1 and 4, whose polynomials have exponent strides
         # other than the default's 4 (named apart from the module_* files,
         # whose entries are read back at root order 2)

@@ -184,3 +184,16 @@ def test_chi_shift_example_generators(aiii3_sl4, modules, field):
     # t_2 = -c_2 bar(chi(B_2)) q^2 for the admissible-compatible component
     chi_b2 = by_label[1].character.b_values[1]
     assert dt.s[1] == -par.c[1] * chi_b2.bar() * field.q ** 2
+
+
+def test_generators_without_black_nodes_conjugate_nothing(modules, aiii3_sl4,
+                                                          params, monkeypatch):
+    # T_w_black is the identity, so B_i = F_i + c_i E_tau(i) K_i^-1 directly
+    monkeypatch.setattr(Operator, "conj",
+                        lambda self, x: pytest.fail("conjugated by the identity"))
+    m = modules("A", 3, (0, 1, 0))
+    par = params["aiii3_sl4"]
+    gens = coideal_generators(par, m)
+    for i in aiii3_sl4.I_circ:
+        e_part = la.mat_mul(m.e_mats[aiii3_sl4.tau[i]], m.k_i_matrix(i, -1))
+        assert gens.B[i].mat == la.mat_add(m.f_mats[i], la.mat_scale(e_part, par.c[i]))

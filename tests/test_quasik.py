@@ -286,3 +286,91 @@ def test_rank_one_torus_sign_leaves_the_intertwiner(modules, aiii3_sl4, params):
     u = _solve_intertwiner(2, aiii3_sl4, pairs, m)
     assert not u.is_identity()
     assert u == _solve_intertwiner(2, aiii3_sl4, flipped, m)
+
+
+# -- the whole-system solve, kept as a reference for the degree-block solve --
+
+def _reference_raising_words(module, alphabet):
+    """Independent raising words by length, each tested against every
+    earlier candidate of its length over all dim^2 entries."""
+    dim = module.dim
+    frontier = [la.identity(dim, module.field)]
+    independent = []
+    while frontier:
+        cands = [prod for mat in frontier for j in alphabet
+                 if not la.is_zero_matrix(prod := la.mat_mul(module.e_mats[j], mat))]
+        vectorized = [[w[r][c] for w in cands] for r in range(dim) for c in range(dim)]
+        relations = la.column_relations(vectorized, len(cands), module.field)
+        frontier = [w for t, w in enumerate(cands) if t not in relations]
+        independent.extend(frontier)
+    return independent
+
+
+def _reference_solve(i, satake, pairs, module):
+    """One column relation over every pair, every entry and every word: the
+    columns left W - W right, then left - right, whose relation is (x, 1)."""
+    words = _reference_raising_words(module, sorted(set(satake.black)
+                                                    | {i, satake.tau[i]}))
+    rows = []
+    for left, right in pairs:
+        cols = [la.mat_sub(la.mat_mul(left, w), la.mat_mul(w, right))
+                for w in words] + [la.mat_sub(left, right)]
+        rows += [[col[r][c] for col in cols]
+                 for r in range(module.dim) for c in range(module.dim)]
+    relations = la.column_relations(rows, len(words) + 1, module.field)
+    x = relations.pop(len(words), None)
+    if x is None:
+        return "inconsistent"
+    if relations:
+        return "underdetermined"
+    mat = la.identity(module.dim, module.field)
+    for coeff, w in zip(x, words):
+        mat = la.mat_add(mat, la.mat_scale(w, coeff))
+    return mat
+
+
+# explicit parameters of each config, 1-based nodes as on the command line
+EXPLICIT = {"ai1": {1: "-q^-2"}, "aiii_sl3": {1: "q^(1/2)", 2: "q^(1/2)"},
+            "aiii3_sl4": {1: "1", 2: "q^-1", 3: "1"}, "aii3_sl4": {2: "q"},
+            "bii_so5": None}
+SWEEP_WEIGHTS = {"ai1": [(2,), (3,), (4,)], "aii3_sl4": [(0, 1, 0), (0, 2, 0)],
+                 "aiii3_sl4": [(0, 1, 0), (1, 0, 1)],
+                 "aiii_sl3": [(1, 0), (1, 1), (2, 1)], "bii_so5": [(1, 0), (1, 1)]}
+
+
+def _sweep_parameters(name, satake, field):
+    from qspherical.scalars import parse_scalar
+    out = [distinguished_parameter(satake, field)]
+    if EXPLICIT[name]:
+        out.append(Parameter(satake, {k - 1: parse_scalar(v, field)
+                                      for k, v in EXPLICIT[name].items()}))
+    return out
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_degree_blocks_match_the_whole_system(path):
+    # every white node (both nodes of a tau-pair), the distinguished and the
+    # explicit parameter, uniform and transported systems alike
+    from qspherical.quasik import _rank_one_generators, _solve_intertwiner
+    satake = satake_from_config(json.loads(path.read_text()))
+    for lam in SWEEP_WEIGHTS[path.stem]:
+        m = build_simple(satake.datum, lam, F)
+        for par in _sweep_parameters(path.stem, satake, F):
+            for i in sorted(satake.I_circ):
+                pairs = _rank_one_generators(i, par, m)
+                got = _solve_intertwiner(i, satake, pairs, m)
+                assert got.mat == _reference_solve(i, satake, pairs, m)
+                assert got == quasi_k(i, par, m).operator
+
+
+def test_degree_blocks_keep_the_inconsistent_verdict(modules, ai1, aiii_sl3,
+                                                     params):
+    # the same non-uniform c on both sides has no solution in either solve
+    from qspherical.quasik import _rank_one_generators, _solve_intertwiner
+    for lam in ((1,), (2,), (3,)):
+        m = modules("A", 1, lam)
+        par = params["ai1_dist"]
+        pairs = _rank_one_generators(0, par, m, right=par)
+        assert _reference_solve(0, ai1, pairs, m) == "inconsistent"
+        with pytest.raises(IntertwinerError, match="inconsistent at node 0"):
+            _solve_intertwiner(0, ai1, pairs, m)
