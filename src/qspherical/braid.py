@@ -170,26 +170,23 @@ def phi_diag(a: dict, module: SimpleModule) -> Operator:
     if not isinstance(module, SimpleModule):
         raise OperatorError("diagonal twists need a designated highest weight")
     field = module.field
+    roots = _monomial_roots(a, field)
+    diag = [functools.reduce(operator.mul, (root ** t[i] for i, root in roots.items()),
+                             field.one) for t in module.deficits]
+    return Operator(module, linalg.diagonal(diag, field)).with_inverse(
+        Operator(module, linalg.diagonal([x.inverse() for x in diag], field)))
+
+
+def _monomial_roots(a: dict, field) -> dict:
+    """{i: a_i^(1/2)}, each square root a monomial; raises
+    UnrepresentableScalar when one is not."""
     roots = {}
     for i, val in a.items():
         val = field.coerce(val)
-        root = val.monomial_sqrt()
-        if root is None:
+        roots[i] = val.monomial_sqrt()
+        if roots[i] is None:
             raise UnrepresentableScalar(f"square root of {val} is unavailable")
-        roots[i] = root
-    out = linalg.zeros(module.dim, module.dim, field)
-    inv = linalg.zeros(module.dim, module.dim, field)
-    for idx, mu in enumerate(module.weights):
-        t = module.datum.X_to_root(tuple(l - m for l, m in zip(module.lam, mu)))
-        scal = field.one
-        for i, root in roots.items():
-            ti = t[i]
-            if ti.denominator != 1:
-                raise OperatorError("weight is not in the root cone above the lowest weight")
-            scal = scal * root ** int(ti)
-        out[idx][idx] = scal
-        inv[idx][idx] = scal.inverse()
-    return Operator(module, out).with_inverse(Operator(module, inv))
+    return roots
 
 
 def rescaled_T(i: int, param, module: SimpleModule) -> Operator:

@@ -84,16 +84,14 @@ class SphericalLine:
         self.character = character
 
 
-def eigenvalue(c: FieldElem, s: FieldElem, d_i: int, l: int,
-               field: Field | None = None) -> FieldElem:
+def eigenvalue(c: FieldElem, s: FieldElem, d_i: int, l: int) -> FieldElem:
     """Closed rank-one eigenvalue with integer label l.
 
     (q_i^l - q_i^-l)/2 * sqrt(s^2 + 4 q_i c/(q_i - q_i^-1)^2)
     plus the s-part, which collapses to s (q_i^l + q_i^-l)/2.
     """
-    field = field or c.field
-    root = _discriminant_root(c, s, d_i, field) if l else None
-    return _label_value(root, s, d_i, l, field)
+    root = _discriminant_root(c, s, d_i, c.field) if l else None
+    return _label_value(root, s, d_i, l, c.field)
 
 
 def _discriminant_root(c: FieldElem, s: FieldElem, d_i: int,
@@ -156,11 +154,11 @@ def _torus_support(module: SimpleModule, gens: CoidealGenerators, lam) -> list:
     else; a dual line has the same support, since the contravariant form
     fixes K_h.
     """
-    pair = module.datum.pair
-    hs = [h for h, _ in gens.torus]
-    target = [pair(h, lam) for h in hs]
-    return [idx for idx, mu in enumerate(module.weights)
-            if [pair(h, mu) for h in hs] == target]
+    field, pair = module.field, module.datum.pair
+    diagonals = [(module.k_diagonal(h), field.q_power(pair(h, lam)))
+                 for h, _ in gens.torus]
+    return [idx for idx in range(module.dim)
+            if all(diag[idx] == value for diag, value in diagonals)]
 
 
 def _black_rows(module: SimpleModule, gens: CoidealGenerators, support: list) -> list:

@@ -39,10 +39,6 @@ CHECK_FAILURES = {MultiplicityViolation: "multiplicity",
 # the checks that read --c/--s
 PARAMETER_CHECKS = {"characters", "quasik", "spherical"}
 
-TABLE1_ROWS = [("AI1", None), ("AII3", None), ("AIII11", None),
-               ("AIV", 2), ("AIV", 3), ("BII", 2), ("BII", 3),
-               ("CII", 3), ("CII", 4), ("DII", 4), ("DII", 5), ("FII", None)]
-
 TABLE1_EXPECTED = {
     ("AI1", None): (2, 0, 0, 2),
     ("AII3", None): (2, -2, 2, 4),
@@ -252,9 +248,8 @@ def run_spherical(job: JobSpec, built: dict) -> dict:
 def run_table1(job: JobSpec, built: dict) -> dict:
     rows = []
     ok_all = True
-    for label, n in TABLE1_ROWS:
+    for (label, n), want in TABLE1_EXPECTED.items():
         got = table1_constants(label, n)
-        want = TABLE1_EXPECTED[(label, n)]
         ok = got == want
         ok_all = ok_all and ok
         rows.append({"type": label, "n": n, "computed": list(got),
@@ -414,54 +409,58 @@ def _out_argument(argv) -> str | None:
         return None
 
 
+# the options each subcommand reads; every one also takes --out
+OPTIONS = {
+    "validate": ("config",),
+    "module": ("config", "root-order", "dim-cap", "weight"),
+    "characters": ("config", "root-order", "dim-cap", "weight-box", "c", "s", "weight"),
+    "invariance": ("config", "root-order", "dim-cap", "c", "s", "weight"),
+    "table1": (),
+    "examples": ("root-order",),
+}
+
+ARGUMENTS = {
+    "config": dict(required=True, help="Satake config JSON"),
+    "root-order": dict(type=int, default=2, choices=ROOT_ORDERS),
+    "dim-cap": dict(type=int, default=2000),
+    "weight-box": dict(type=int, default=4),
+    "c": dict(action="append", metavar="NODE=LITERAL",
+              help="c parameter, e.g. --c 1=-q^-2 (1-based node)"),
+    "s": dict(action="append", metavar="NODE=LITERAL"),
+    "weight": dict(action="append", metavar="COORDS",
+                   help="dominant weight, e.g. --weight 1,0,1"),
+}
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="qspherical",
         description="Exact checks for quantum symmetric pairs, their characters "
                     "and spherical functions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="Satake config JSON")
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command)
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--root-order", type=int, default=2, choices=ROOT_ORDERS)
-        p.add_argument("--dim-cap", type=int, default=2000)
-        p.add_argument("--weight-box", type=int, default=4)
-        p.add_argument("--c", action="append", metavar="NODE=LITERAL",
-                       help="c parameter, e.g. --c 1=-q^-2 (1-based node)")
-        p.add_argument("--s", action="append", metavar="NODE=LITERAL")
-        p.add_argument("--weight", action="append", metavar="COORDS",
-                       help="dominant weight, e.g. --weight 1,0,1")
-
-    for name in ("validate", "module", "characters", "invariance"):
-        p = sub.add_parser(name)
-        common(p)
-    p = sub.add_parser("table1")
-    common(p, config_required=False)
-    p = sub.add_parser("examples")
-    common(p, config_required=False)
-    p.add_argument("which", nargs="?", default="aiii-sl3",
-                   choices=("aiii-sl3", "aiii3-sl4"))
+        for name in options:
+            p.add_argument(f"--{name}", **ARGUMENTS[name])
+    sub.choices["examples"].add_argument(
+        "which", nargs="?", default="aiii-sl3", choices=("aiii-sl3", "aiii3-sl4"))
     args = None
     try:
         args = parser.parse_args(argv)
+        given = vars(args)
         checks = {"invariance": ("quasik", "spherical")}.get(args.command,
                                                             (args.command,))
-        weights = None
-        if getattr(args, "weight", None):
-            weights = [w.split(",") for w in args.weight]
         job = JobSpec(
-            config=getattr(args, "config", None),
-            parameters=_parse_kv(getattr(args, "c", None)) or None,
-            s_parameters=_parse_kv(getattr(args, "s", None)) or None,
-            weights=weights,
+            config=given.get("config"),
+            parameters=_parse_kv(given.get("c")) or None,
+            s_parameters=_parse_kv(given.get("s")) or None,
+            weights=[w.split(",") for w in given.get("weight") or []] or None,
             checks=checks,
             out=args.out,
-            root_order=args.root_order,
-            weight_box=args.weight_box,
-            dim_cap=args.dim_cap,
-            example=getattr(args, "which", None),
+            example=given.get("which"),
+            **{key: given[key] for key in ("root_order", "weight_box", "dim_cap")
+               if key in given},
         )
     except InputError as exc:
         _emit({"checks": [], "error": {"code": "input", "detail": str(exc)}},

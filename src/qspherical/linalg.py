@@ -35,9 +35,14 @@ def zeros(rows: int, cols: int, field: Field) -> list:
 
 
 def identity(n: int, field: Field) -> list:
-    out = zeros(n, n, field)
-    for k in range(n):
-        out[k][k] = field.one
+    return diagonal([field.one] * n, field)
+
+
+def diagonal(entries: list, field: Field) -> list:
+    """The dense square matrix with the given diagonal."""
+    out = zeros(len(entries), len(entries), field)
+    for k, x in enumerate(entries):
+        out[k][k] = x
     return out
 
 

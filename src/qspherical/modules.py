@@ -8,9 +8,10 @@ over the exact coefficient field.  The construction works weight block by
 weight block: the E and F blocks and the Gram block of a weight are
 products of blocks already built, and the dense matrices are assembled
 from them at the end.  Weight blocks are orthogonal for the contravariant
-form, so a pairing is a sum of block pairings.  In this basis the module
-bar involution is plain coefficient conjugation, and the lowest weight
-basis vector is bar-fixed.
+form, so the form is kept only as its Gram blocks: a pairing is a sum of
+block pairings, and the adjoint rho is formed from the block inverses.  In
+this basis the module bar involution is plain coefficient conjugation, and
+the lowest weight basis vector is bar-fixed.
 """
 
 from __future__ import annotations
@@ -45,21 +46,24 @@ class WeightModule:
         self.dim = len(self.weights)
         self.e_mats = e_mats
         self.f_mats = f_mats
-        self._k_cache = {}
+        self.cache = {}    # derived data, keyed by what derives it
         blocks = {}
         for idx, w in enumerate(self.weights):
             blocks.setdefault(w, []).append(idx)
         self.blocks = {w: tuple(ix) for w, ix in blocks.items()}
 
+    def k_diagonal(self, h) -> list:
+        """The diagonal of K_h, q^<h, mu> on each basis vector of weight mu,
+        for h in Y or the half lattice (Fraction coordinates)."""
+        key = ("K", tuple(Fraction(x) for x in h))
+        if key not in self.cache:
+            self.cache[key] = [self.field.q_power(self.datum.pair(key[1], mu))
+                               for mu in self.weights]
+        return self.cache[key]
+
     def k_matrix(self, h) -> list:
-        """Matrix of K_h for h in Y or the half lattice (Fraction coordinates)."""
-        key = tuple(Fraction(x) for x in h)
-        if key not in self._k_cache:
-            out = linalg.zeros(self.dim, self.dim, self.field)
-            for idx, mu in enumerate(self.weights):
-                out[idx][idx] = self.field.q_power(self.datum.pair(key, mu))
-            self._k_cache[key] = out
-        return self._k_cache[key]
+        """Dense view of K_h."""
+        return linalg.diagonal(self.k_diagonal(h), self.field)
 
     def k_i_matrix(self, i: int, power: int = 1) -> list:
         h = tuple(power * self.datum.d[i] if k == i else 0 for k in range(self.datum.n))
@@ -139,31 +143,21 @@ class ModuleVector:
 class SimpleModule(WeightModule):
     """The simple highest-weight module of a dominant weight."""
 
-    def __init__(self, datum, field, lam, weights, e_mats, f_mats, grams, words):
+    def __init__(self, datum, field, lam, weights, e_mats, f_mats, grams, words,
+                 deficits):
         super().__init__(datum, field, weights, e_mats, f_mats)
         self.lam = tuple(lam)
         self.grams = grams            # weight -> Gram matrix of the basis block
         self.words = tuple(words)     # lowering word that produced each basis vector
+        self.deficits = tuple(deficits)   # lam - weight, in simple roots, per basis vector
         self.highest_index = 0
         block = self.blocks.get(tuple(datum.act_word_X(datum.w0_word(), lam)), ())
         if len(block) != 1:
             raise ModuleError("lowest weight space is not a line")
         self.lowest_index = block[0]
-        self._gram_global = None
 
     def highest_vector(self) -> ModuleVector:
         return self.basis_vector(self.highest_index)
-
-    def gram_global(self) -> list:
-        if self._gram_global is None:
-            g = linalg.zeros(self.dim, self.dim, self.field)
-            for w, idxs in self.blocks.items():
-                gb = self.grams[w]
-                for a, ia in enumerate(idxs):
-                    for b, ib in enumerate(idxs):
-                        g[ia][ib] = gb[a][b]
-            self._gram_global = g
-        return self._gram_global
 
     def block_pairings(self, v: ModuleVector, w: ModuleVector):
         """Yield (weight, value) for each weight block on which the
@@ -192,17 +186,33 @@ class SimpleModule(WeightModule):
             out = out + value
         return out
 
-    def gram_inverse(self) -> list:
-        if getattr(self, "_gram_inverse", None) is None:
-            self._gram_inverse = linalg.invert(self.gram_global())
-        return self._gram_inverse
-
     def rho_twist_matrix(self, mat: list) -> list:
         """Transpose antiautomorphism realized by the Gram form:
-        (v, X w) = (rho_twist(X) v, w) for every operator matrix X."""
-        return linalg.mat_mul(self.gram_inverse(),
-                              linalg.mat_mul(linalg.transpose(mat),
-                                             self.gram_global()))
+        (v, X w) = (rho_twist(X) v, w) for every operator matrix X.  Its
+        block (mu, nu) is G_mu^-1 X[nu, mu]^T G_nu."""
+        out = linalg.zeros(self.dim, self.dim, self.field)
+        transposed = linalg.transpose(mat)
+        for nu, mu in _block_support(self, mat):
+            key = ("gram inverse", mu)
+            if key not in self.cache:
+                self.cache[key] = linalg.invert(self.grams[mu])
+            xt = _block(transposed, self.blocks[mu], self.blocks[nu])
+            blk = linalg.mat_mul(self.cache[key], linalg.mat_mul(xt, self.grams[nu]))
+            for r, row in zip(self.blocks[mu], blk):
+                for c, x in zip(self.blocks[nu], row):
+                    out[r][c] = x
+        return out
+
+
+def _block_support(m: WeightModule, mat: list) -> set:
+    """The weight pairs (mu, nu) with X[mu, nu] nonzero."""
+    return {(m.weights[r], m.weights[c])
+            for r, row in enumerate(mat) for c, x in enumerate(row) if x}
+
+
+def _block(mat: list, rows, cols) -> list:
+    """The submatrix of mat on the given row and column indices."""
+    return [[mat[r][c] for c in cols] for r in rows]
 
 
 def act_matrix(mat: list, v: ModuleVector) -> ModuleVector:
@@ -211,12 +221,8 @@ def act_matrix(mat: list, v: ModuleVector) -> ModuleVector:
 
 def act_Kh(h, v: ModuleVector) -> ModuleVector:
     """Action of K_h for h in the half coweight lattice (Fraction coordinates)."""
-    module = v.module
-    out = list(v.coeffs)
-    for idx, c in enumerate(out):
-        if c:
-            out[idx] = c * module.field.q_power(module.datum.pair(h, module.weights[idx]))
-    return ModuleVector(module, out)
+    return ModuleVector(v.module, [c * k if c else c for c, k in
+                                   zip(v.coeffs, v.module.k_diagonal(h))])
 
 
 # -- construction of simple modules ----------------------------------------------
@@ -304,12 +310,13 @@ def build_simple(datum: RootDatum, lam, field: Field,
             start += width
             e_block[(i, k)] = [[row[a] for a in keep] for row in e_cand[i]]
 
-    offset, weights, word_list = {}, [], []
+    offset, weights, word_list, deficits = {}, [], [], []
     for k in points:
         if k in words:
             offset[k] = len(weights)
             weights += [weight_of(k)] * len(words[k])
             word_list += words[k]
+            deficits += [k] * len(words[k])
 
     def place(blocks, by):
         """Dense matrices of the blocks (i, k), which map k to k + by e_i."""
@@ -324,7 +331,7 @@ def build_simple(datum: RootDatum, lam, field: Field,
 
     grams_by_weight = {weight_of(k): gram[k] for k in offset}
     return SimpleModule(datum, field, lam, weights, place(e_block, -1),
-                        place(f_block, 1), grams_by_weight, word_list)
+                        place(f_block, 1), grams_by_weight, word_list, deficits)
 
 
 def tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:
@@ -390,9 +397,8 @@ def check_defining_relations(m: WeightModule) -> list:
             lhs = linalg.mat_sub(linalg.mat_mul(m.e_mats[i], m.f_mats[j]),
                                  linalg.mat_mul(m.f_mats[j], m.e_mats[i]))
             if i == j:
-                expect = linalg.zeros(m.dim, m.dim, field)
-                for idx, mu in enumerate(m.weights):
-                    expect[idx][idx] = field.qint(int(mu[i]), datum.d[i])
+                expect = linalg.diagonal([field.qint(int(mu[i]), datum.d[i])
+                                          for mu in m.weights], field)
                 if not linalg.mat_eq(lhs, expect):
                     problems.append(f"[E_{i}, F_{i}] differs from the torus term")
             elif not linalg.is_zero_matrix(lhs):
@@ -431,14 +437,18 @@ def check_defining_relations(m: WeightModule) -> list:
 
 
 def check_contravariance(m: SimpleModule) -> list:
-    """(v, E_i w) = (F_i v, w) and (v, F_i w) = (E_i v, w) on the Gram data."""
-    g = m.gram_global()
+    """(v, E_i w) = (F_i v, w) and (v, F_i w) = (E_i v, w) on the Gram data:
+    G_mu X[mu, nu] = Y[nu, mu]^T G_nu for (X, Y) = (E_i, F_i) and (F_i, E_i),
+    on the weight pairs where X or Y is nonzero."""
     problems = []
     for i in range(m.datum.n):
-        if not linalg.mat_eq(linalg.mat_mul(g, m.e_mats[i]),
-                             linalg.mat_mul(linalg.transpose(m.f_mats[i]), g)):
-            problems.append(f"contravariance fails for E_{i}")
-        if not linalg.mat_eq(linalg.mat_mul(g, m.f_mats[i]),
-                             linalg.mat_mul(linalg.transpose(m.e_mats[i]), g)):
-            problems.append(f"contravariance fails for F_{i}")
+        for x, y, name in ((m.e_mats[i], m.f_mats[i], "E"),
+                           (m.f_mats[i], m.e_mats[i], "F")):
+            pairs = _block_support(m, x) | {(mu, nu) for nu, mu in _block_support(m, y)}
+            yt = linalg.transpose(y)
+            if any(not linalg.mat_eq(
+                    linalg.mat_mul(m.grams[mu], _block(x, m.blocks[mu], m.blocks[nu])),
+                    linalg.mat_mul(_block(yt, m.blocks[mu], m.blocks[nu]), m.grams[nu]))
+                   for mu, nu in pairs):
+                problems.append(f"contravariance fails for {name}_{i}")
     return problems

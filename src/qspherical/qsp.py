@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .braid import Operator, lusztig_T_word
+from .braid import Operator, lusztig_T_word, _monomial_roots
 from .modules import WeightModule
 from .rootdata import SatakeDatum
 from .scalars import Field, FieldElem, UnrepresentableScalar
@@ -218,13 +218,7 @@ def twist_parameter(a: dict, param: Parameter) -> Parameter:
     s_i -> a_i^(1/2) s_i.  Entries of a default to one; black entries must be one."""
     satake = param.satake
     field = param.field
-    roots = {}
-    for i in satake.I_circ:
-        val = field.coerce(a.get(i, field.one))
-        root = val.monomial_sqrt()
-        if root is None:
-            raise UnrepresentableScalar(f"square root of {val} unavailable")
-        roots[i] = root
+    roots = _monomial_roots({i: a.get(i, field.one) for i in satake.I_circ}, field)
     for j, val in a.items():
         if j in satake.black and field.coerce(val) != field.one:
             raise ParameterError("twists must be trivial on black nodes")

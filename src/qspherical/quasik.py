@@ -50,15 +50,9 @@ class QuasiKOnModule:
         self.residual_ok = residual_ok
 
     def zero_block_is_identity(self) -> bool:
-        mat = self.operator.mat
-        module = self.module
-        for r in range(module.dim):
-            for c in range(module.dim):
-                same = module.weights[r] == module.weights[c]
-                expect = module.field.one if r == c else module.field.zero
-                if same and mat[r][c] != expect:
-                    return False
-        return True
+        mat, field = self.operator.mat, self.module.field
+        return all(mat[r][c] == (field.one if r == c else field.zero)
+                   for idxs in self.module.blocks.values() for r in idxs for c in idxs)
 
 
 def _uniform_image(i: int, param: Parameter) -> Parameter:
@@ -293,12 +287,9 @@ def quasi_k(i: int, param: Parameter, module: SimpleModule) -> QuasiKOnModule:
     satake = param.satake
     if i not in satake.I_circ:
         raise ParameterError(f"{i} is not a white node")
-    cache = getattr(module, "_quasi_k_cache", None)
-    if cache is None:
-        cache = module._quasi_k_cache = {}
-    key = (i, _param_key(param))
-    if key in cache:
-        return cache[key]
+    key = ("quasi-K", i, _param_key(param))
+    if key in module.cache:
+        return module.cache[key]
     if any(param.s[j] for j in (i, satake.tau[i])):
         raise ParameterError("the intertwiner needs a standard rank-one restriction")
     mode, twist = "uniform", None
@@ -314,7 +305,7 @@ def quasi_k(i: int, param: Parameter, module: SimpleModule) -> QuasiKOnModule:
     result = QuasiKOnModule(module, i, op, mode, twist, _residual_zero(op.mat, pairs))
     if not result.residual_ok:
         raise IntertwinerError(f"intertwining residual is nonzero at node {i}")
-    cache[key] = result
+    module.cache[key] = result
     return result
 
 
@@ -344,16 +335,13 @@ def wz_operator(i: int, param: Parameter, module: SimpleModule) -> Operator:
     Its inverse comes with it, from the factors' own inverses: the
     intertwiner is unipotent and the rescaled braid operator carries its own.
     """
-    cache = getattr(module, "_wz_cache", None)
-    if cache is None:
-        cache = module._wz_cache = {}
-    key = (i, _param_key(param))
-    if key not in cache:
+    key = ("relative braid", i, _param_key(param))
+    if key not in module.cache:
         u = quasi_k(i, param, module).operator
         u.with_inverse(_unipotent_inverse(u))
         t = rescaled_T(i, param, module)
-        cache[key] = (u @ t).with_inverse(t.inverse() @ u.inverse())
-    return cache[key]
+        module.cache[key] = (u @ t).with_inverse(t.inverse() @ u.inverse())
+    return module.cache[key]
 
 
 def wz_character_check(line: SphericalLine, i: int, param: Parameter,

@@ -133,6 +133,12 @@ class RootDatum:
             a = self.reflect_root(i, a)
         return a
 
+    def negated_simple(self, word, j: int) -> int | None:
+        """The k with w alpha_j = -alpha_k for the Weyl element w of the
+        word, or None when w alpha_j is not a negative simple root."""
+        img = list(self.act_word_root(word, tuple(1 if k == j else 0 for k in range(self.n))))
+        return img.index(-1) if sorted(img) == [-1] + [0] * (self.n - 1) else None
+
     def act_word_X(self, word, x) -> tuple:
         for i in reversed(word):
             x = self.reflect_X(i, x)
@@ -312,10 +318,7 @@ class SatakeDatum:
         if any(self.tau[j] not in self.black for j in self.black):
             problems.append(("(i)", "tau does not preserve the black subset"))
         for j in sorted(self.black):
-            a = tuple(1 if k == j else 0 for k in range(datum.n))
-            img = datum.act_word_root(self.w_black, a)
-            want = tuple(-1 if k == self.tau[j] else 0 for k in range(datum.n))
-            if img != want:
+            if datum.negated_simple(self.w_black, j) != self.tau[j]:
                 problems.append(("(ii)", f"tau on black node {j} differs from -w_black"))
         for i in self.I_circ:
             if self.tau[i] == i:
@@ -389,14 +392,10 @@ class SatakeDatum:
 
     def tau0(self) -> tuple:
         """Diagram involution induced by the longest Weyl element."""
-        out = [0] * self.datum.n
-        for i in range(self.datum.n):
-            a = tuple(1 if k == i else 0 for k in range(self.datum.n))
-            neg = tuple(-v for v in self.datum.act_word_root(self.w0, a))
-            if sum(abs(v) for v in neg) != 1:
-                raise RootDatumError("w0 does not act by a diagram involution")
-            out[i] = next(k for k, v in enumerate(neg) if v == 1)
-        return tuple(out)
+        out = tuple(self.datum.negated_simple(self.w0, i) for i in range(self.datum.n))
+        if None in out:
+            raise RootDatumError("w0 does not act by a diagram involution")
+        return out
 
     def y_theta_coords(self, h) -> list | None:
         """Rational coordinates of a coroot vector in the Y_Theta basis, or
@@ -503,9 +502,7 @@ def _tau_from_black(datum: RootDatum, black, white_tau=None):
     w_black = datum.longest_word(black)
     tau = [None] * n
     for j in sorted(black):
-        a = tuple(1 if k == j else 0 for k in range(n))
-        neg = tuple(-v for v in datum.act_word_root(w_black, a))
-        tau[j] = next(k for k, v in enumerate(neg) if v == 1)
+        tau[j] = datum.negated_simple(w_black, j)
     for i in range(n):
         if tau[i] is None:
             tau[i] = white_tau[i] if white_tau else i

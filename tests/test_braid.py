@@ -191,6 +191,20 @@ def test_phi_diag(modules, ai1):
     assert twist.conj(f_op) == Operator(m, la.mat_scale(f_op.mat, F.q.inverse()))
 
 
+def test_phi_diag_reads_the_deficits(modules, monkeypatch):
+    # the twist's exponents are the deficit points the build recorded
+    from qspherical.rootdata import RootDatum
+    m = modules("A", 2, (1, 1))
+
+    def fail(self, x):
+        raise AssertionError("X_to_root called")
+
+    monkeypatch.setattr(RootDatum, "X_to_root", fail)
+    d = phi_diag({0: F.q ** 2, 1: F.q ** -4}, m)
+    assert [d.mat[k][k] for k in range(m.dim)] == [
+        F.q ** (t0 - 2 * t1) for t0, t1 in m.deficits]
+
+
 def test_phi_diag_needs_roots(modules):
     from qspherical.scalars import UnrepresentableScalar
     m = modules("A", 1, (1,))

@@ -235,11 +235,17 @@ CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
     ["module", "ai1.json", "--root-order", "3"],
     ["examples", None, "nonsense"],
     ["invariance", None],
+    # options a subcommand never reads were accepted and ignored
+    ["examples", None, "aiii-sl3", "--dim-cap", "1"],
+    ["validate", "ai1.json", "--weight", "7,7,7"],
+    ["invariance", "ai1.json", "--weight-box", "2"],
+    ["table1", None, "--root-order", "4"],
 ], ids=["--c", "--s", "c-out-of-range", "c-node-zero", "c-black-node",
         "s-black-node", "c-repeated", "c-repeated-leading-zero", "s-repeated",
         "s-without-c", "validate-c", "module-c", "module-s",
         "table1-c", "examples-s", "negative-weight-box", "usage-root-order-3",
-        "usage-unknown-example", "usage-missing-config"])
+        "usage-unknown-example", "usage-missing-config", "examples-dim-cap",
+        "validate-weight", "invariance-weight-box", "table1-root-order"])
 def test_malformed_parameter_flag_honours_out(tmp_path, capsys, argv):
     out = tmp_path / "report.json"
     config = ["--config", str(CONFIGS / argv[1])] if argv[1] else []
@@ -305,6 +311,31 @@ def test_invariance_makes_no_solve_call(tmp_path, monkeypatch, config, c_args, w
     out = tmp_path / "report.json"
     assert main(["invariance", "--config", str(CONFIGS / config)] + c_args
                 + ["--weight", weight, "--out", str(out)]) == EXIT_PASS
+
+
+@pytest.mark.parametrize("config, c_args, weight", BENCHMARK_INVARIANCE,
+                         ids=[job[0] for job in BENCHMARK_INVARIANCE])
+def test_invariance_inverts_only_gram_blocks(tmp_path, monkeypatch, config,
+                                             c_args, weight):
+    # the contravariant form is kept per weight block, and so is its inverse
+    sizes, built = [], []
+    invert, build_simple = linalg.invert, cli.build_simple
+
+    def sized_invert(a):
+        sizes.append(len(a))
+        return invert(a)
+
+    def recorded_build(*args, **kwargs):
+        built.append(build_simple(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(linalg, "invert", sized_invert)
+    monkeypatch.setattr(cli, "build_simple", recorded_build)
+    out = tmp_path / "report.json"
+    assert main(["invariance", "--config", str(CONFIGS / config)] + c_args
+                + ["--weight", weight, "--out", str(out)]) == EXIT_PASS
+    largest = max(len(g) for m in built for g in m.grams.values())
+    assert sizes and max(sizes) <= largest < built[0].dim
 
 
 def test_closed_stdout_keeps_the_run_status():

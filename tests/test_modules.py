@@ -40,6 +40,34 @@ def test_defining_relations_and_contravariance(modules):
         assert check_contravariance(m) == []
 
 
+def test_contravariance_sees_one_changed_entry():
+    # the check compares Gram blocks pair by pair, skipping the pairs where
+    # both operators vanish: a changed entry of E_0, and one put where E_0
+    # is zero, are both reported
+    for change in ("nonzero", "diagonal"):
+        m = build_simple(root_datum("A", 2), (1, 1), F)
+        if change == "nonzero":
+            r, c = next((r, c) for r, row in enumerate(m.e_mats[0])
+                        for c, x in enumerate(row) if x)
+        else:
+            r = c = m.highest_index
+        m.e_mats[0][r][c] = m.e_mats[0][r][c] + F.one
+        assert "contravariance fails for E_0" in check_contravariance(m)
+        assert "contravariance fails for E_1" not in check_contravariance(m)
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 1, (3,)), ("A", 2, (1, 1)), ("A", 3, (1, 0, 1)), ("A", 4, (0, 1, 0, 1)),
+    ("B", 2, (1, 1)), ("B", 3, (1, 0, 1)), ("C", 3, (0, 1, 0)),
+    ("D", 4, (1, 0, 0, 1)), ("F", 4, (0, 0, 0, 1))])
+def test_deficits_are_root_coordinates(family, rank, lam):
+    # the deficit-box point of each basis vector is lam - mu in simple roots
+    m = build_simple(root_datum(family, rank), lam, F)
+    assert len(m.deficits) == m.dim
+    for k, mu in zip(m.deficits, m.weights):
+        assert k == m.datum.X_to_root(tuple(a - b for a, b in zip(lam, mu)))
+
+
 @pytest.mark.parametrize("family,rank,lam", [("A", 2, (2, 1)),
                                               ("A", 3, (1, 0, 2))])
 def test_basis_from_one_elimination_per_block(monkeypatch, family, rank, lam):

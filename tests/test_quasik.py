@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 
 from qspherical import Field
-from qspherical.braid import Operator, phi_diag, rescaled_T
+from qspherical.braid import Operator, lusztig_T_word, phi_diag, rescaled_T
 from qspherical.characters import find_spherical_lines
 from qspherical.modules import act_matrix, build_simple
 from qspherical.qsp import (Parameter, ParameterError, coideal_generators,
@@ -14,6 +15,7 @@ from qspherical.quasik import (IntertwinerError, _uniform_normal_form,
                                _unipotent_inverse, quasi_k, verify_intertwining,
                                wz_character_check, wz_operator, wz_precompose)
 from qspherical.rootdata import satake_from_config
+from qspherical.scalars import UnrepresentableScalar
 import qspherical.linalg as la
 
 F = Field(2)
@@ -374,3 +376,43 @@ def test_degree_blocks_keep_the_inconsistent_verdict(modules, ai1, aiii_sl3,
         assert _reference_solve(0, ai1, pairs, m) == "inconsistent"
         with pytest.raises(IntertwinerError, match="inconsistent at node 0"):
             _solve_intertwiner(0, ai1, pairs, m)
+
+
+def _dense_rho(m, mat):
+    """The reference adjoint G^-1 X^T G, with G the dense Gram matrix of the
+    whole module."""
+    g = la.zeros(m.dim, m.dim, m.field)
+    for mu, idxs in m.blocks.items():
+        for (a, ia), (b, ib) in itertools.product(enumerate(idxs), repeat=2):
+            g[ia][ib] = m.grams[mu][a][b]
+    return la.mat_mul(la.invert(g), la.mat_mul(la.transpose(mat), g))
+
+
+@pytest.mark.parametrize("root_order", [1, 4])
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_blockwise_rho_matches_the_dense_adjoint(path, root_order):
+    # generators, coideal generators (B_i, black E_j/F_j, K_h), a braid word
+    # and the relative braid operators with their inverses
+    field = Field(root_order)
+    satake = satake_from_config(json.loads(path.read_text()))
+    try:
+        par = distinguished_parameter(satake, field)
+    except UnrepresentableScalar:     # aiii_sl3's is -q^(-1/2)
+        par = Parameter(satake, {i: field.q for i in satake.I_circ})
+    m = build_simple(satake.datum, SWEEP_WEIGHTS[path.stem][-1], field)
+    mats = [m.e_mats[i] for i in range(m.datum.n)]
+    mats += [m.f_mats[i] for i in range(m.datum.n)] + [m.k_i_matrix(0)]
+    mats += [op.mat for _, op in coideal_generators(par, m).all_named()]
+    mats.append(lusztig_T_word(m.datum.w0_word(), 1, "prime", m).mat)
+    relative = 0
+    for i in satake.relative_orbit_representatives():
+        try:
+            w = wz_operator(i, par, m)
+        except UnrepresentableScalar:
+            assert root_order == 1    # the twists need square roots of q
+            continue
+        mats += [w.mat, w.inverse().mat]
+        relative += 1
+    assert relative or root_order == 1
+    for mat in mats:
+        assert la.mat_eq(m.rho_twist_matrix(mat), _dense_rho(m, mat))
