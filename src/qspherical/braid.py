@@ -47,14 +47,19 @@ class Operator:
             raise OperatorError("operators act on different modules")
 
     def inverse(self) -> "Operator":
-        if self._inv is None:
-            self.with_inverse(Operator(self.module, linalg.invert(self.mat)))
+        if not isinstance(self._inv, Operator):
+            build = self._inv or (lambda: Operator(self.module, linalg.invert(self.mat)))
+            self.with_inverse(build())
         return self._inv
 
-    def with_inverse(self, inv: "Operator") -> "Operator":
-        """Record a known inverse (built from structure, not by elimination)."""
-        self._check(inv)
-        self._inv, inv._inv = inv, self
+    def with_inverse(self, inv) -> "Operator":
+        """Record a known inverse (built from structure, not by elimination),
+        or a function of no arguments that builds it when first asked for."""
+        if isinstance(inv, Operator):
+            self._check(inv)
+            self._inv, inv._inv = inv, self
+        else:
+            self._inv = inv
         return self
 
     def apply(self, v: ModuleVector) -> ModuleVector:
@@ -110,10 +115,8 @@ def lusztig_T(i: int, e: int, kind: str, module: WeightModule) -> Operator:
     field = module.field
     datum = module.datum
     dim = module.dim
-    fpow = [linalg.nonzero_columns(m)
-            for m in _divided_powers(module, module.f_mats[i], i)]
-    epow = [linalg.nonzero_columns(m)
-            for m in _divided_powers(module, module.e_mats[i], i)]
+    fpow = [linalg.nonzero_columns(m) for m in _divided_powers(module, "F", i)]
+    epow = [linalg.nonzero_columns(m) for m in _divided_powers(module, "E", i)]
     out = linalg.zeros(dim, dim, field)
     outer, inner = (fpow, epow) if kind == "prime" else (epow, fpow)
     for col in range(dim):
@@ -152,10 +155,19 @@ def _apply_columns(cols: list, vec: dict) -> dict:
 
 
 def lusztig_T_word(word, e: int, kind: str, module: WeightModule) -> Operator:
-    """Composite braid operator along a reduced word, leftmost factor first;
-    one rank-one operator per distinct letter."""
+    """Composite braid operator along a reduced word, leftmost factor first,
+    with its inverse attached: T'_{i,e} and T''_{i,-e} are mutually inverse
+    (Lusztig 37.1.2), so the inverse is the composite of the other kind with
+    sign -e along the reversed word, built when first asked for."""
     if not word:
         return Operator.identity(module)
+    other = "doubleprime" if kind == "prime" else "prime"
+    return _composite(word, e, kind, module).with_inverse(
+        lambda: _composite(word[::-1], -e, other, module))
+
+
+def _composite(word, e: int, kind: str, module: WeightModule) -> Operator:
+    """The product along the word; one rank-one operator per distinct letter."""
     factors = {i: lusztig_T(i, e, kind, module) for i in dict.fromkeys(word)}
     return functools.reduce(operator.matmul, (factors[i] for i in word))
 
@@ -203,8 +215,5 @@ def rescaled_T(i: int, param, module: SimpleModule) -> Operator:
         a[j] = cdist.c[j].bar() * param.c[j]
     word = satake.relative_generator(i)
     t = lusztig_T_word(word, -1, "prime", module)
-    # T'_{j,-1} and T''_{j,+1} are mutually inverse (Lusztig 37.1.2), so the
-    # inverse composite runs the double-prime operators along the reversed word
-    t_inv = lusztig_T_word(word[::-1], 1, "doubleprime", module)
     w = phi_diag(a, module).inverse()
-    return w.conj(t).with_inverse(w.conj(t_inv))
+    return w.conj(t).with_inverse(w.conj(t.inverse()))

@@ -372,18 +372,23 @@ def tensor_vector(v1: ModuleVector, v2: ModuleVector, t: WeightModule) -> Module
 # -- relation verification --------------------------------------------------------
 
 
-def _divided_powers(module: WeightModule, mat, i: int) -> list:
-    """[X^(0), X^(1), ..., X^(k)] up to the nilpotency degree, which is at
-    most the dimension for the nilpotent E_i and F_i."""
-    field = module.field
-    out = [linalg.identity(module.dim, field)]
-    cur = out[0]
-    for k in range(1, module.dim + 1):
-        cur = linalg.mat_mul(cur, mat)
-        if linalg.is_zero_matrix(cur):
-            break
-        out.append(linalg.mat_scale(cur, field.qfact(k, module.datum.d[i]).inverse()))
-    return out
+def _divided_powers(module: WeightModule, name: str, i: int) -> list:
+    """[X^(0), X^(1), ..., X^(k)] for X = E_i (name 'E') or F_i (name 'F')
+    up to the nilpotency degree, which is at most the dimension; built once
+    per module."""
+    key = ("divided powers", name, i)
+    if key not in module.cache:
+        field = module.field
+        mat = (module.e_mats if name == "E" else module.f_mats)[i]
+        out = [linalg.identity(module.dim, field)]
+        cur = out[0]
+        for k in range(1, module.dim + 1):
+            cur = linalg.mat_mul(cur, mat)
+            if linalg.is_zero_matrix(cur):
+                break
+            out.append(linalg.mat_scale(cur, field.qfact(k, module.datum.d[i]).inverse()))
+        module.cache[key] = out
+    return module.cache[key]
 
 
 def check_defining_relations(m: WeightModule) -> list:
@@ -414,8 +419,6 @@ def check_defining_relations(m: WeightModule) -> list:
             lhs = linalg.mat_mul(k, linalg.mat_mul(m.f_mats[j], kinv))
             if not linalg.mat_eq(lhs, linalg.mat_scale(m.f_mats[j], scal.inverse())):
                 problems.append(f"K_{i} F_{j} K_{i}^-1 has the wrong scalar")
-    divided = {name: [_divided_powers(m, mats[i], i) for i in range(n)]
-               for mats, name in ((m.e_mats, "E"), (m.f_mats, "F"))}
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -423,7 +426,7 @@ def check_defining_relations(m: WeightModule) -> list:
             nij = 1 - datum.cartan[i][j]
             for mats, name in ((m.e_mats, "E"), (m.f_mats, "F")):
                 # sum over s of (-1)^s X_i^(r) X_j X_i^(s), with r + s = nij
-                powers = divided[name][i]
+                powers = _divided_powers(m, name, i)
                 acc = linalg.zeros(m.dim, m.dim, field)
                 for s in range(nij + 1):
                     r = nij - s

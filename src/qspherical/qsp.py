@@ -14,7 +14,7 @@ from . import linalg
 from .braid import Operator, lusztig_T_word, _monomial_roots
 from .modules import WeightModule
 from .rootdata import SatakeDatum
-from .scalars import Field, FieldElem, UnrepresentableScalar
+from .scalars import Field, FieldElem
 
 
 class ParameterError(Exception):
@@ -275,10 +275,7 @@ def chi_shift_coideal(param: Parameter, chi, satake: SatakeDatum | None = None) 
             li = chi.labels.get(i)
             if li is None:
                 raise ParameterError(f"character carries no integer label at node {i}")
-            root = param.c[i].monomial_sqrt()
-            if root is None:
-                raise UnrepresentableScalar(
-                    f"square root of c_{i} = {param.c[i]} unavailable")
+            root = _monomial_roots({i: param.c[i]}, field)[i]
             sq = field.q_power(Fraction(qi, 2))
             t[i] = -root * (field.qint(li, qi) * sq).bar() * field.q_power(2 * qi)
         else:

@@ -16,10 +16,18 @@ the fraction instead.  All of these run on the deflated polynomials: with
 num = v^a F(v^k) and den = v^b G(v^k), k the gcd of the exponents, the gcd
 is taken of F and G and the cofactors are inflated back.  Quantum integers
 and q-powers make most entries polynomials in q^2, so at the default root
-order the gcd inputs shrink to about a quarter.  `FieldElem` is the one
-scalar type: a Gaussian rational constant is a constant `FieldElem`.  Only
-the printer and the principal square root of a coefficient read a
-coefficient as an (re, im) pair of Fractions.
+order the gcd inputs shrink to about a quarter.
+
+A value on an axis, i^k N/D with N and D real and k = 0 or 1, runs in
+integer arithmetic as well: it is stored in int form (k = 0) or with a real
+den and a purely imaginary num (k = 1), products and same-axis sums work on
+the real N and D over Z and carry the phase k (i * i = -1), and a Gaussian
+fraction on an axis is reduced over Z and paired again.  Only a mixed value,
+such as the sum of a real and an imaginary one, takes the Z[i] kernels.
+
+`FieldElem` is the one scalar type: a Gaussian rational constant is a
+constant `FieldElem`.  Only the printer and the principal square root of a
+coefficient read a coefficient as an (re, im) pair of Fractions.
 """
 
 from __future__ import annotations
@@ -422,9 +430,34 @@ def _cancel(f: tuple, g: tuple, ring) -> tuple:
     return f, g
 
 
-def _reduce(num: tuple, den: tuple) -> tuple:
-    """The canonical (num, den) of num/den, both in one form."""
-    ring = _ZI if den and type(den[0]) is tuple else _Z
+def _axis(num: tuple, den: tuple) -> tuple | None:
+    """(k, N, D) with num/den = i^k N/D for int tuples N and D and k = 0 or
+    1, when num/den lies on an axis: int form, or pair form with a real den
+    and a num that is real or purely imaginary.  None otherwise."""
+    if type(den[0]) is int:
+        return 0, num, den
+    if any(c[1] for c in den):
+        return None
+    if not any(c[0] for c in num):
+        return 1, tuple(c[1] for c in num), tuple(c[0] for c in den)
+    if not any(c[1] for c in num):
+        return 0, tuple(c[0] for c in num), tuple(c[0] for c in den)
+    return None
+
+
+def _reduce(num: tuple, den: tuple, k: int = 0) -> tuple:
+    """The canonical (num, den) of i^k num/den, both in one form; k = 1 only
+    for int tuples.
+
+    A fraction on an axis is reduced over Z: N/D reduced has content one and
+    lc(D) > 0, and real polynomials have the same gcd over Q(i) as over Q,
+    so (i N, D) of the reduced N/D is already canonical over Z[i]."""
+    ring = _Z
+    if den and type(den[0]) is tuple:
+        axis = _axis(num, den)
+        if axis:
+            return _reduce(axis[1], axis[2], axis[0])
+        ring = _ZI
     zero = ring.zero
     num, den = _trim(num, zero), _trim(den, zero)
     if not den:
@@ -443,6 +476,8 @@ def _reduce(num: tuple, den: tuple) -> tuple:
     n, m = ring.quo(cf, d), ring.quo(cg, d)
     u = ring.unit(ring.times(m, g[-1]))
     num, den = _scale(f, ring.times(n, u), ring), _scale(g, ring.times(m, u), ring)
+    if k:
+        return tuple((0, c) for c in num), tuple((c, 0) for c in den)
     if ring is _ZI and not any(c[1] for c in num) and not any(c[1] for c in den):
         return tuple(c[0] for c in num), tuple(c[0] for c in den)
     return num, den
@@ -458,11 +493,17 @@ def _ring_of(x: "FieldElem"):
     return _ZI if type(x.den[0]) is tuple else _Z
 
 
-def _lift(x: "FieldElem", y: "FieldElem") -> tuple:
-    """The ring of x and y together, and their nums and dens in its form."""
-    if type(x.den[0]) is type(y.den[0]):
-        return _ring_of(x), x.num, x.den, y.num, y.den
-    return _ZI, _pairs(x.num), _pairs(x.den), _pairs(y.num), _pairs(y.den)
+def _lift(x: "FieldElem", y: "FieldElem", on_axis: bool = True) -> tuple:
+    """(ring, j, an, ad, k, bn, bd) with x = i^j an/ad and y = i^k bn/bd:
+    over Z when x and y both lie on an axis (and on_axis), else over Z[i]
+    with j = k = 0."""
+    if type(x.den[0]) is int and type(y.den[0]) is int:
+        return _Z, 0, x.num, x.den, 0, y.num, y.den
+    a = on_axis and _axis(x.num, x.den)
+    b = a and _axis(y.num, y.den)
+    if b:
+        return (_Z,) + a + b
+    return _ZI, 0, _pairs(x.num), _pairs(x.den), 0, _pairs(y.num), _pairs(y.den)
 
 
 ROOT_ORDERS = (1, 2, 4)
@@ -603,11 +644,15 @@ class FieldElem:
             return other
         if not other.num:
             return self
-        ring, an, ad, bn, bd = _lift(self, other)
+        ring, j, an, ad, k, bn, bd = _lift(self, other)
+        if j != k:
+            # a real value plus an imaginary one is mixed
+            ring, j, an, ad, k, bn, bd = _lift(self, other, on_axis=False)
         if ad == bd:
-            return FieldElem(self.field, ring.padd(an, bn), ad)
-        num = ring.padd(ring.pmul(an, bd), ring.pmul(bn, ad))
-        return FieldElem(self.field, num, ring.pmul(ad, bd))
+            num, den = ring.padd(an, bn), ad
+        else:
+            num, den = ring.padd(ring.pmul(an, bd), ring.pmul(bn, ad)), ring.pmul(ad, bd)
+        return FieldElem(self.field, *_reduce(num, den, k), _normalized=True)
 
     __radd__ = __add__
 
@@ -626,8 +671,12 @@ class FieldElem:
         other = self._co(other)
         if not self.num or not other.num:
             return self.field.zero
-        ring, an, ad, bn, bd = _lift(self, other)
-        return FieldElem(self.field, ring.pmul(an, bn), ring.pmul(ad, bd))
+        ring, j, an, ad, k, bn, bd = _lift(self, other)
+        num = ring.pmul(an, bn)
+        if j & k:
+            num = ring.pneg(num)    # i * i = -1
+        return FieldElem(self.field, *_reduce(num, ring.pmul(ad, bd), j ^ k),
+                         _normalized=True)
 
     __rmul__ = __mul__
 

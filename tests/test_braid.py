@@ -263,8 +263,8 @@ def _reference_lusztig_T(i, e, kind, module):
     from qspherical.modules import _divided_powers
     field = module.field
     dim = module.dim
-    fpow = _divided_powers(module, module.f_mats[i], i)
-    epow = _divided_powers(module, module.e_mats[i], i)
+    fpow = _divided_powers(module, "F", i)
+    epow = _divided_powers(module, "E", i)
     outer, inner = (fpow, epow) if kind == "prime" else (epow, fpow)
     out = la.zeros(dim, dim, field)
     for col in range(dim):
@@ -303,6 +303,45 @@ def test_nonzero_columns_match_the_dense_triple_sum(path, root_order):
                 for kind in ("prime", "doubleprime"):
                     assert lusztig_T(i, e, kind, m).mat == \
                         _reference_lusztig_T(i, e, kind, m)
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: p.stem)
+def test_composite_carries_its_inverse(path, monkeypatch):
+    """T'_{w,e} and T''_{w,e} along the longest word, times the composite of
+    the other kind with sign -e along the reversed word, is the identity; no
+    inverse is found by elimination."""
+    from qspherical.modules import build_simple
+    from qspherical.rootdata import satake_from_config
+    datum = satake_from_config(json.loads(path.read_text())).datum
+    word = datum.w0_word()
+
+    def no_elimination(a):
+        raise AssertionError("a composite inverted by elimination")
+
+    monkeypatch.setattr(la, "invert", no_elimination)
+    for lam in CONFIG_WEIGHTS[path.stem]:
+        m = build_simple(datum, lam, F)
+        for e in (1, -1):
+            for kind in ("prime", "doubleprime"):
+                t = lusztig_T_word(word, e, kind, m)
+                assert (t @ t.inverse()).is_identity()
+                assert (t.inverse() @ t).is_identity()
+                assert t.inverse().inverse() is t
+
+
+def test_divided_powers_are_built_once_per_module(monkeypatch):
+    from qspherical.modules import build_simple
+    from qspherical.rootdata import root_datum
+    m = build_simple(root_datum("A", 2), (1, 1), F)
+    prime = lusztig_T(0, 1, "prime", m)
+
+    def no_product(a, b):
+        raise AssertionError("divided powers built again")
+
+    monkeypatch.setattr(la, "mat_mul", no_product)
+    inverse = lusztig_T(0, -1, "doubleprime", m)
+    monkeypatch.undo()
+    assert (inverse @ prime).is_identity()
 
 
 def test_word_builds_one_operator_per_letter(modules, monkeypatch):

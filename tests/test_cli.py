@@ -356,3 +356,21 @@ def test_closed_stdout_keeps_the_run_status():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == EXIT_PASS, err
     assert "Traceback" not in err
+
+
+def test_aii3_sweep_inverts_nothing_larger_than_a_gram_block(monkeypatch, tmp_path):
+    # braid composites carry their inverses, so only the Gram blocks of the
+    # contravariant form are inverted by elimination
+    from qspherical import Field, build_simple
+    from qspherical.rootdata import satake_from_config
+    config = CONFIGS / "aii3_sl4.json"
+    datum = satake_from_config(json.loads(config.read_text())).datum
+    largest = max(len(g) for lam in ((0, 1, 0), (0, 2, 0))
+                  for g in build_simple(datum, lam, Field(2)).grams.values())
+    sizes = []
+    invert = linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda a: sizes.append(len(a)) or invert(a))
+    argv = ["invariance", "--config", str(config), "--c", "2=q",
+            "--weight", "0,1,0", "--weight", "0,2,0", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == EXIT_PASS
+    assert sizes and max(sizes) <= largest

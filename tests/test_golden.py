@@ -68,6 +68,9 @@ CASES = (
          + SL4 + _weights("0,1,0", "0,2,0") + ["--root-order", "1"]),
         ("root4_invariance_ai1_weight4", ["invariance"] + _config("ai1")
          + ["--c", "1=-q^-2"] + _weights("4") + ["--root-order", "4"]),
+        # imaginary character values at exponent stride 8
+        ("root4_characters_ai1", ["characters"] + _config("ai1")
+         + ["--c", "1=-q^-2"] + _weights("0", "2", "4") + ["--root-order", "4"]),
         ("table1", ["table1"]),
         ("examples_aiii_sl3", ["examples", "aiii-sl3"]),
         ("examples_aiii3_sl4", ["examples", "aiii3-sl4"]),

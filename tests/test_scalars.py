@@ -541,3 +541,127 @@ def test_quantum_integer_quotients_reduce_deflated(monkeypatch, n, m):
     assert calls
     assert all(max(len(f), len(g)) <= n for f, g in calls)
     assert not frac_of(x) - frac_of(F.qint(n)) / frac_of(F.qint(m))
+
+
+# -- values on an axis: real and i * real ----------------------------------
+
+def _on_axis(num, den, k, pairs):
+    """i^k num/den for int tuples num and den, in pair form when pairs."""
+    if not pairs:
+        return num, den
+    return (tuple((0, c) if k else (c, 0) for c in num), tuple((c, 0) for c in den))
+
+
+@st.composite
+def axis_pairs(draw):
+    """Two values i^j A G / (B H) and i^k C H / (D G) with real A, B, C, D
+    and planted real G and H, so that products, sums and quotients cancel;
+    a real value comes in int form or in pair form."""
+    coeff = st.integers(-6, 6)
+
+    def poly(low, high):
+        return tuple(draw(st.lists(coeff, min_size=low, max_size=high))) + (
+            draw(coeff.filter(bool)),)
+
+    g, h = poly(1, 3), poly(0, 3)
+
+    def value(top, bottom):
+        k = draw(st.integers(0, 1))
+        num = scalars._z_mul(poly(0, 4), top)
+        den = scalars._z_mul(poly(0, 4), bottom)
+        x = FieldElem(F, *_on_axis(num, den, k, k or draw(st.booleans())))
+        assert not frac_of(x) - QIV.field(_qq_i_poly(num)) / QIV.field(
+            _qq_i_poly(den)) * (QQ_I(0, 1) if k else 1)
+        return x
+
+    return value(g, h), value(h, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(axis_pairs())
+def test_axis_arithmetic_matches_qq_i_oracle(pair):
+    x, y = pair
+    fx, fy = frac_of(x), frac_of(y)
+    results = [(x * y, fx * fy), (x + y, fx + fy), (x - y, fx - fy),
+               (x / y, fx / fy), (x * x, fx * fx), (x + x, fx + fx)]
+    for z, expected in results:
+        assert not frac_of(z) - expected
+        if z:
+            _assert_canonical(z)
+
+
+def _gaussian_kernel_calls(mp):
+    """Record every call of a `_zi_*` function, also through `_ZI`."""
+    calls = []
+
+    def spy(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapped
+
+    for name in [n for n in vars(scalars) if n.startswith("_zi_")]:
+        f = getattr(scalars, name)
+        mp.setattr(scalars, name, spy(name, f))
+        for attr, g in vars(scalars._ZI).items():
+            if g is f:
+                mp.setattr(scalars._ZI, attr, spy(name, f))
+    return calls
+
+
+def test_axis_values_skip_the_gaussian_kernels():
+    i = ((0, 1),)
+    # i v^2 / (v^2 + 1), i (v^2 - 1) and a real value
+    x = FieldElem(F, ((0, 0),) * 2 + i, ((1, 0), (0, 0), (1, 0)))
+    y = FieldElem(F, ((0, -1), (0, 0), (0, 1)), ((1, 0),))
+    r = FieldElem(F, (1, 2), (3, 0, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _gaussian_kernel_calls(mp)
+        # an axis fraction with a common factor v + 1 to cancel
+        z = FieldElem(F, ((0, 1), (0, 0), (0, -1)), ((1, 0), (1, 0)))
+        got = [z, x * y, x * r, y * y, x + y, x - y, r + r]
+        assert calls == []
+        mixed = x + r
+        assert calls
+    assert (z.num, z.den) == (((0, 1), (0, -1)), ((1, 0),))
+    assert (got[3].num, got[3].den) == ((-1, 0, 2, 0, -1), (1,))
+    fx, fy, fr = frac_of(x), frac_of(y), frac_of(r)
+    for value, expected in zip(got[1:] + [mixed],
+                               [fx * fy, fx * fr, fy * fy, fx + fy, fx - fy, fr + fr,
+                                fx + fr]):
+        assert not frac_of(value) - expected
+
+
+def test_precompose_round_runs_no_gaussian_kernel():
+    """Criterion 08's pairing loop on ai1 L(4): the character values are
+    imaginary, and every value the loop meets lies on an axis."""
+    import qspherical.linalg as la
+    from qspherical import SatakeDatum, build_simple, root_datum
+    from qspherical.characters import find_dual_spherical, find_spherical_lines
+    from qspherical.modules import act_matrix
+    from qspherical.qsp import coideal_generators, distinguished_parameter
+    from qspherical.quasik import wz_operator
+    satake = SatakeDatum(root_datum("A", 1), (), (0,))
+    param = distinguished_parameter(satake, F)
+    m = build_simple(satake.datum, (4,), F)
+    gens = coideal_generators(param, m)
+    lines = find_spherical_lines(m, gens, param)
+    assert any(type(x.den[0]) is tuple for line in lines
+               for x in line.character.b_values.values() if x)
+    duals = [find_dual_spherical(line, gens) for line in lines]
+    letters = {"E": m.e_mats[0], "F": m.f_mats[0], "K": m.k_i_matrix(0)}
+    words = [m.k_matrix((1,)), m.k_matrix((-1,))]
+    for name in ("E", "FK", "EFE", "KEFF", "FEKE"):
+        x = la.identity(m.dim, F)
+        for letter in name:
+            x = la.mat_mul(x, letters[letter])
+        words.append(x)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _gaussian_kernel_calls(mp)
+        big = wz_operator(0, param, m)
+        for line, f in zip(lines, duals):
+            for x in words:
+                moved = la.mat_mul(big.mat, la.mat_mul(x, big.inverse().mat))
+                assert (m.shapovalov(f, act_matrix(moved, line.vector))
+                        == m.shapovalov(f, act_matrix(x, line.vector)))
+    assert calls == []
