@@ -244,8 +244,11 @@ def dual_spherical_vector(module: SimpleModule, gens: CoidealGenerators,
     support = _torus_support(module, gens, lam)
     rows = _black_rows(module, gens, support)
     for i in sorted(gens.param.satake.I_circ):
-        rows.extend(_eigen_rows(module.rho_twist_matrix(gens.B[i].mat),
-                                b_values[i], support))
+        # G is invertible, so rho(B_i) - value = G^-1 B_i^T G - value has the
+        # kernel of (G (B_i - value))^T, whose rows need no inverse
+        shifted = module.gram_times(_eigen_rows(gens.B[i].mat, b_values[i],
+                                                range(module.dim)))
+        rows.extend(linalg.transpose([shifted[k] for k in support]))
     kernel = _support_kernel(module, rows, support)
     if not kernel:
         raise NoDualLine(f"no dual line with values {b_values} on L{tuple(lam)}")

@@ -340,6 +340,8 @@ def run(job: JobSpec):
                 raise InputError(f"unknown check {check!r}; known: {sorted(RUNNERS)}")
         if job.root_order not in ROOT_ORDERS:
             raise InputError(f"root order {job.root_order} is not one of {ROOT_ORDERS}")
+        if job.dim_cap < 1:
+            raise InputError(f"dimension cap {job.dim_cap} is below 1")
         if ((job.parameters or job.s_parameters)
                 and not PARAMETER_CHECKS.intersection(job.checks)):
             raise InputError("--c/--s are read only by characters and invariance")
@@ -348,10 +350,7 @@ def run(job: JobSpec):
             report["checks"].append(body)
             if not body.get("passed", False):
                 status = max(status, EXIT_CHECK_FAILED)
-    except InputError as exc:
-        report["error"] = {"code": "input", "detail": str(exc)}
-        return EXIT_INPUT_ERROR, report
-    except (ScalarParseError, RootDatumError, ParameterError) as exc:
+    except (InputError, ScalarParseError, RootDatumError, ParameterError) as exc:
         report["error"] = {"code": "input", "detail": str(exc)}
         return EXIT_INPUT_ERROR, report
     except UnrepresentableScalar as exc:
@@ -400,7 +399,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_argument(argv) -> str | None:
-    """The --out of a command line that does not parse, if it has one."""
+    """The --out of a command line, also of one that does not parse."""
     parser = _Parser(add_help=False)
     parser.add_argument("--out")
     try:
@@ -445,8 +444,15 @@ def main(argv=None) -> int:
             p.add_argument(f"--{name}", **ARGUMENTS[name])
     sub.choices["examples"].add_argument(
         "which", nargs="?", default="aiii-sl3", choices=("aiii-sl3", "aiii3-sl4"))
-    args = None
+    out = _out_argument(argv)
     try:
+        if out:
+            try:    # append mode creates a missing file and changes no other
+                open(out, "a", encoding="utf-8").close()
+            except OSError as exc:
+                out = None      # so the report goes to stdout
+                raise InputError(f"cannot write the report to {exc.filename}: "
+                                 f"{exc.strerror}") from exc
         args = parser.parse_args(argv)
         given = vars(args)
         checks = {"invariance": ("quasik", "spherical")}.get(args.command,
@@ -457,14 +463,13 @@ def main(argv=None) -> int:
             s_parameters=_parse_kv(given.get("s")) or None,
             weights=[w.split(",") for w in given.get("weight") or []] or None,
             checks=checks,
-            out=args.out,
+            out=out,
             example=given.get("which"),
             **{key: given[key] for key in ("root_order", "weight_box", "dim_cap")
                if key in given},
         )
     except InputError as exc:
-        _emit({"checks": [], "error": {"code": "input", "detail": str(exc)}},
-              args.out if args else _out_argument(argv))
+        _emit({"checks": [], "error": {"code": "input", "detail": str(exc)}}, out)
         return EXIT_INPUT_ERROR
     status, report = run(job)
     _emit(report, job.out)

@@ -222,8 +222,9 @@ def _stacked_kernel(module, gens, lam, white):
 
 @pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: p.stem)
 def test_support_kernels_match_the_stacked_torus_rows(path):
-    # every candidate value tuple, for lines (B_i) and dual lines (rho(B_i)),
-    # with or without a solution
+    # every candidate value tuple, for lines (B_i) and dual lines (rho(B_i),
+    # and the form applied to B_i - value, which has the same kernel), with
+    # or without a solution
     import itertools
     from qspherical.characters import (_black_rows, _candidate_values,
                                        _eigen_rows, _support_kernel,
@@ -242,12 +243,23 @@ def test_support_kernels_match_the_stacked_torus_rows(path):
         w0lam = datum.act_word_X(datum.w0_word(), lam)
         values = [_candidate_values(par, i, int(lam[i] - w0lam[i]))
                   if i in satake.I_ns else [(F.zero, None)] for i in nodes]
+
+        def form_applied(mat, v):
+            # the dual rows of dual_spherical_vector: (G (B_i - value))^T
+            shifted = m.gram_times(_eigen_rows(mat, v, range(m.dim)))
+            return la.transpose([shifted[k] for k in support])
+
         for combo in itertools.product(*values):
-            for twist in (lambda x: x, m.rho_twist_matrix):
-                white = [(twist(gens.B[i].mat), v) for i, (v, _) in zip(nodes, combo)]
+            plain = [(gens.B[i].mat, v) for i, (v, _) in zip(nodes, combo)]
+            rho = [(m.rho_twist_matrix(mat), v) for mat, v in plain]
+            # (stacked reference, white rows on the support)
+            for white, white_rows in (
+                    (plain, [_eigen_rows(mat, v, support) for mat, v in plain]),
+                    (rho, [_eigen_rows(mat, v, support) for mat, v in rho]),
+                    (rho, [form_applied(mat, v) for mat, v in plain])):
                 rows = _black_rows(m, gens, support)
-                for mat, v in white:
-                    rows += _eigen_rows(mat, v, support)
+                for block in white_rows:
+                    rows += block
                 got = _support_kernel(m, rows, support)
                 assert got == _stacked_kernel(m, gens, lam, white)
                 found += len(got)

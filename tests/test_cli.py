@@ -231,6 +231,9 @@ CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
     ["examples", None, "aiii-sl3", "--s", "1=1"],
     # an empty scan passed
     ["characters", "ai1.json", "--weight-box", "-1"],
+    # a cap below 1 built the dim-1 module L(0) all the same
+    ["module", "ai1.json", "--weight", "0", "--dim-cap", "0"],
+    ["module", "ai1.json", "--weight", "0", "--dim-cap", "-3"],
     # usage errors printed the usage text and wrote no report
     ["module", "ai1.json", "--root-order", "3"],
     ["examples", None, "nonsense"],
@@ -243,7 +246,8 @@ CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 ], ids=["--c", "--s", "c-out-of-range", "c-node-zero", "c-black-node",
         "s-black-node", "c-repeated", "c-repeated-leading-zero", "s-repeated",
         "s-without-c", "validate-c", "module-c", "module-s",
-        "table1-c", "examples-s", "negative-weight-box", "usage-root-order-3",
+        "table1-c", "examples-s", "negative-weight-box", "dim-cap-0",
+        "negative-dim-cap", "usage-root-order-3",
         "usage-unknown-example", "usage-missing-config", "examples-dim-cap",
         "validate-weight", "invariance-weight-box", "table1-root-order"])
 def test_malformed_parameter_flag_honours_out(tmp_path, capsys, argv):
@@ -257,12 +261,38 @@ def test_malformed_parameter_flag_honours_out(tmp_path, capsys, argv):
     assert report["error"]["code"] == "input"
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."],
+                         ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["table1"],
+    ["module", "ai1.json", "--weight", "3"],
+    ["module", "ai1.json", "--root-order", "3"],     # a usage error
+], ids=["table1", "module", "usage-root-order-3"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch, target, argv):
+    # the error report goes to stdout, before any check runs; an unwritable
+    # --out used to end the whole run in a traceback, with exit 1
+    def fail(job):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run", fail)
+    config = ["--config", str(CONFIGS / argv[1])] if argv[1:] else []
+    code = main(argv[:1] + config + argv[2:] + ["--out", str(tmp_path / target)])
+    assert code == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["checks"] == []
+    assert report["error"]["code"] == "input"
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("job", [
     JobSpec(checks=("bogus",)),
     JobSpec(config=str(CONFIGS / "ai1.json"), checks=("module",), root_order=3),
     JobSpec(config=str(CONFIGS / "ai1.json"), checks=("characters",),
             weight_box=-1),
-], ids=["unknown-check", "root-order-3", "negative-weight-box"])
+    JobSpec(config=str(CONFIGS / "ai1.json"), checks=("module",), dim_cap=0),
+], ids=["unknown-check", "root-order-3", "negative-weight-box", "dim-cap-0"])
 def test_bad_job_is_input_error(job):
     # a bad job gets an input-error report: run() neither raises nor
     # reports an empty scan as passed
@@ -315,27 +345,16 @@ def test_invariance_makes_no_solve_call(tmp_path, monkeypatch, config, c_args, w
 
 @pytest.mark.parametrize("config, c_args, weight", BENCHMARK_INVARIANCE,
                          ids=[job[0] for job in BENCHMARK_INVARIANCE])
-def test_invariance_inverts_only_gram_blocks(tmp_path, monkeypatch, config,
-                                             c_args, weight):
-    # the contravariant form is kept per weight block, and so is its inverse
-    sizes, built = [], []
-    invert, build_simple = linalg.invert, cli.build_simple
-
-    def sized_invert(a):
-        sizes.append(len(a))
-        return invert(a)
-
-    def recorded_build(*args, **kwargs):
-        built.append(build_simple(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(linalg, "invert", sized_invert)
-    monkeypatch.setattr(cli, "build_simple", recorded_build)
+def test_invariance_inverts_nothing(tmp_path, monkeypatch, config, c_args, weight):
+    # dual lines apply the contravariant form to B_i - value instead of
+    # forming the adjoint rho from inverted Gram blocks
+    sizes = []
+    invert = linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda a: sizes.append(len(a)) or invert(a))
     out = tmp_path / "report.json"
     assert main(["invariance", "--config", str(CONFIGS / config)] + c_args
                 + ["--weight", weight, "--out", str(out)]) == EXIT_PASS
-    largest = max(len(g) for m in built for g in m.grams.values())
-    assert sizes and max(sizes) <= largest < built[0].dim
+    assert sizes == []
 
 
 def test_closed_stdout_keeps_the_run_status():
@@ -358,19 +377,13 @@ def test_closed_stdout_keeps_the_run_status():
     assert "Traceback" not in err
 
 
-def test_aii3_sweep_inverts_nothing_larger_than_a_gram_block(monkeypatch, tmp_path):
-    # braid composites carry their inverses, so only the Gram blocks of the
-    # contravariant form are inverted by elimination
-    from qspherical import Field, build_simple
-    from qspherical.rootdata import satake_from_config
-    config = CONFIGS / "aii3_sl4.json"
-    datum = satake_from_config(json.loads(config.read_text())).datum
-    largest = max(len(g) for lam in ((0, 1, 0), (0, 2, 0))
-                  for g in build_simple(datum, lam, Field(2)).grams.values())
+def test_aii3_sweep_inverts_nothing(monkeypatch, tmp_path):
+    # braid composites carry their inverses, and dual lines apply the
+    # contravariant form, so nothing is inverted by elimination
     sizes = []
     invert = linalg.invert
     monkeypatch.setattr(linalg, "invert", lambda a: sizes.append(len(a)) or invert(a))
-    argv = ["invariance", "--config", str(config), "--c", "2=q",
+    argv = ["invariance", "--config", str(CONFIGS / "aii3_sl4.json"), "--c", "2=q",
             "--weight", "0,1,0", "--weight", "0,2,0", "--out", str(tmp_path / "r.json")]
     assert main(argv) == EXIT_PASS
-    assert sizes and max(sizes) <= largest
+    assert sizes == []

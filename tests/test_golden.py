@@ -89,6 +89,18 @@ def test_golden_report(stem, argv, tmp_path):
     assert got == (GOLDEN / f"{stem}.json").read_bytes()
 
 
+def test_no_case_inverts_a_matrix(tmp_path, monkeypatch):
+    # braid composites carry their inverses and dual lines apply the
+    # contravariant form, so no command inverts a matrix by elimination
+    import qspherical.linalg as linalg
+    sizes = []
+    invert = linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda a: sizes.append(len(a)) or invert(a))
+    for stem, argv in CASES:
+        assert main(argv + ["--out", str(tmp_path / f"{stem}.json")]) == 0
+    assert sizes == []
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for stem, argv in CASES:
