@@ -245,10 +245,11 @@ def dual_spherical_vector(module: SimpleModule, gens: CoidealGenerators,
     rows = _black_rows(module, gens, support)
     for i in sorted(gens.param.satake.I_circ):
         # G is invertible, so rho(B_i) - value = G^-1 B_i^T G - value has the
-        # kernel of (G (B_i - value))^T, whose rows need no inverse
+        # kernel of (G (B_i - value))^T, whose rows need no inverse; f lives
+        # on the support, so only the rows of G (B_i - value) there count
         shifted = module.gram_times(_eigen_rows(gens.B[i].mat, b_values[i],
-                                                range(module.dim)))
-        rows.extend(linalg.transpose([shifted[k] for k in support]))
+                                                range(module.dim)), support)
+        rows.extend(linalg.transpose(shifted))
     kernel = _support_kernel(module, rows, support)
     if not kernel:
         raise NoDualLine(f"no dual line with values {b_values} on L{tuple(lam)}")

@@ -186,10 +186,17 @@ class SimpleModule(WeightModule):
             out = out + value
         return out
 
-    def gram_times(self, mat: list) -> list:
+    def gram_times(self, mat: list, support=None) -> list:
         """G X for the contravariant form G: one product of G_mu with the
-        rows of X in block mu per weight mu."""
-        return _block_diagonal_times(self.grams, self.blocks, mat)
+        rows of X in block mu per weight mu.  Given a support, a list of
+        basis indices that is a union of weight blocks, only the rows of
+        G X on it, in its order, from the products on its blocks."""
+        blocks = self.blocks
+        if support is not None:
+            keep = set(support)
+            blocks = {mu: idxs for mu, idxs in blocks.items() if idxs[0] in keep}
+        out = _block_diagonal_times(self.grams, blocks, mat)
+        return out if support is None else [out[k] for k in support]
 
     def rho_twist_matrix(self, mat: list) -> list:
         """Transpose antiautomorphism realized by the Gram form:

@@ -126,6 +126,12 @@ class Parameter:
             "distinguished": self.is_distinguished(),
         }
 
+    def key(self) -> tuple:
+        """What the parameter's operators on a module depend on: the black
+        nodes and involution of the Satake datum, and the values of c and s."""
+        return (self.satake.black, self.satake.tau,
+                tuple(sorted(self.c.items())), tuple(sorted(self.s.items())))
+
     def __repr__(self):
         cs = ", ".join(f"c_{i}={v}" for i, v in sorted(self.c.items()))
         ss = ", ".join(f"s_{i}={v}" for i, v in sorted(self.s.items()) if v)
@@ -207,7 +213,12 @@ class CoidealGenerators:
 
 
 def coideal_generators(param: Parameter, module: WeightModule) -> CoidealGenerators:
-    return CoidealGenerators(param, module)
+    """The coideal generators on a module, built once per module and
+    parameter key."""
+    key = ("coideal", param.key())
+    if key not in module.cache:
+        module.cache[key] = CoidealGenerators(param, module)
+    return module.cache[key]
 
 
 # -- twisting -------------------------------------------------------------------

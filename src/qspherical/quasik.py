@@ -266,10 +266,6 @@ def _uniform_normal_form(i: int, param: Parameter):
     return twist_parameter(a, param), a, b
 
 
-def _param_key(param: Parameter) -> tuple:
-    return (tuple(sorted(param.c.items())), tuple(sorted(param.s.items())))
-
-
 def _residual_zero(u: list, pairs: list) -> bool:
     return all(linalg.mat_eq(linalg.mat_mul(left, u), linalg.mat_mul(u, right))
                for left, right in pairs)
@@ -287,7 +283,7 @@ def quasi_k(i: int, param: Parameter, module: SimpleModule) -> QuasiKOnModule:
     satake = param.satake
     if i not in satake.I_circ:
         raise ParameterError(f"{i} is not a white node")
-    key = ("quasi-K", i, _param_key(param))
+    key = ("quasi-K", i, param.key())
     if key in module.cache:
         return module.cache[key]
     if any(param.s[j] for j in (i, satake.tau[i])):
@@ -335,7 +331,7 @@ def wz_operator(i: int, param: Parameter, module: SimpleModule) -> Operator:
     Its inverse comes with it, from the factors' own inverses: the
     intertwiner is unipotent and the rescaled braid operator carries its own.
     """
-    key = ("relative braid", i, _param_key(param))
+    key = ("relative braid", i, param.key())
     if key not in module.cache:
         u = quasi_k(i, param, module).operator
         u.with_inverse(_unipotent_inverse(u))

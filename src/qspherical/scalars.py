@@ -25,6 +25,18 @@ the real N and D over Z and carry the phase k (i * i = -1), and a Gaussian
 fraction on an axis is reduced over Z and paired again.  Only a mixed value,
 such as the sum of a real and an imaginary one, takes the Z[i] kernels.
 
+A product or sum needs a polynomial gcd only when the den of an operand is
+not a monomial c v^m, and such operations repeat: a form entry times a dual
+coefficient recurs in every pairing of the line.  So their canonical
+(num, den) is kept in a memo keyed by the operation and the two operands,
+which compare by their stored tuples.  The memo is exact: the canonical
+form is unique, so a stored pair is the pair the reduction would compute
+again, and the result is built in the caller's field, so equal tuples at
+different root orders never share a value.  It is bounded, holding the
+_MEMO_SIZE most recently used operations: repeats come close together,
+while the operands of a long run keep changing and an unbounded memo would
+keep every one of them alive.  An operation on monomial dens skips it.
+
 `FieldElem` is the one scalar type: a Gaussian rational constant is a
 constant `FieldElem`.  Only the printer and the principal square root of a
 coefficient read a coefficient as an (re, im) pair of Fractions.
@@ -32,6 +44,7 @@ coefficient read a coefficient as an (re, im) pair of Fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -506,6 +519,43 @@ def _lift(x: "FieldElem", y: "FieldElem", on_axis: bool = True) -> tuple:
     return _ZI, 0, _pairs(x.num), _pairs(x.den), 0, _pairs(y.num), _pairs(y.den)
 
 
+def _monomial(den: tuple) -> bool:
+    """Is a stored den a monomial c v^m?"""
+    return len(den) == 1 or (den[0] in (0, (0, 0)) and den.count(den[0]) == len(den) - 1)
+
+
+def _product(x: "FieldElem", y: "FieldElem") -> tuple:
+    """The canonical (num, den) of x * y, for x and y nonzero."""
+    ring, j, an, ad, k, bn, bd = _lift(x, y)
+    num = ring.pmul(an, bn)
+    if j & k:
+        num = ring.pneg(num)    # i * i = -1
+    return _reduce(num, ring.pmul(ad, bd), j ^ k)
+
+
+def _sum(x: "FieldElem", y: "FieldElem") -> tuple:
+    """The canonical (num, den) of x + y, for x and y nonzero."""
+    ring, j, an, ad, k, bn, bd = _lift(x, y)
+    if j != k:
+        # a real value plus an imaginary one is mixed
+        ring, j, an, ad, k, bn, bd = _lift(x, y, on_axis=False)
+    if ad == bd:
+        num, den = ring.padd(an, bn), ad
+    else:
+        num, den = ring.padd(ring.pmul(an, bd), ring.pmul(bn, ad)), ring.pmul(ad, bd)
+    return _reduce(num, den, k)
+
+
+_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo(op, x: "FieldElem", y: "FieldElem") -> tuple:
+    """op(x, y) for op `_product` or `_sum`, remembered for the _MEMO_SIZE
+    most recently used (op, x, y); x and y are compared by their tuples."""
+    return op(x, y)
+
+
 ROOT_ORDERS = (1, 2, 4)
 
 
@@ -644,15 +694,11 @@ class FieldElem:
             return other
         if not other.num:
             return self
-        ring, j, an, ad, k, bn, bd = _lift(self, other)
-        if j != k:
-            # a real value plus an imaginary one is mixed
-            ring, j, an, ad, k, bn, bd = _lift(self, other, on_axis=False)
-        if ad == bd:
-            num, den = ring.padd(an, bn), ad
+        if _monomial(self.den) and _monomial(other.den):
+            num, den = _sum(self, other)
         else:
-            num, den = ring.padd(ring.pmul(an, bd), ring.pmul(bn, ad)), ring.pmul(ad, bd)
-        return FieldElem(self.field, *_reduce(num, den, k), _normalized=True)
+            num, den = _memo(_sum, self, other)
+        return FieldElem(self.field, num, den, _normalized=True)
 
     __radd__ = __add__
 
@@ -671,12 +717,11 @@ class FieldElem:
         other = self._co(other)
         if not self.num or not other.num:
             return self.field.zero
-        ring, j, an, ad, k, bn, bd = _lift(self, other)
-        num = ring.pmul(an, bn)
-        if j & k:
-            num = ring.pneg(num)    # i * i = -1
-        return FieldElem(self.field, *_reduce(num, ring.pmul(ad, bd), j ^ k),
-                         _normalized=True)
+        if _monomial(self.den) and _monomial(other.den):
+            num, den = _product(self, other)
+        else:
+            num, den = _memo(_product, self, other)
+        return FieldElem(self.field, num, den, _normalized=True)
 
     __rmul__ = __mul__
 

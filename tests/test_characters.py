@@ -245,9 +245,12 @@ def test_support_kernels_match_the_stacked_torus_rows(path):
                   if i in satake.I_ns else [(F.zero, None)] for i in nodes]
 
         def form_applied(mat, v):
-            # the dual rows of dual_spherical_vector: (G (B_i - value))^T
-            shifted = m.gram_times(_eigen_rows(mat, v, range(m.dim)))
-            return la.transpose([shifted[k] for k in support])
+            # the dual rows of dual_spherical_vector: (G (B_i - value))^T on
+            # the support, from the products on the support's blocks only
+            shifted = _eigen_rows(mat, v, range(m.dim))
+            on_support = m.gram_times(shifted, support)
+            assert on_support == [m.gram_times(shifted)[k] for k in support]
+            return la.transpose(on_support)
 
         for combo in itertools.product(*values):
             plain = [(gens.B[i].mat, v) for i, (v, _) in zip(nodes, combo)]
@@ -279,3 +282,22 @@ def test_candidate_values_take_one_root_per_node(modules, ai1, params,
     assert len(roots) == 1
     assert got == [(eigenvalue(par.c[0], par.s[0], 1, l), l)
                    for l in (0, 1, -1, 2, -2, 3, -3, 4, -4)]
+
+
+def test_dual_lines_apply_the_form_on_the_support_only(modules, aiii3_sl4,
+                                                       params, monkeypatch):
+    import qspherical.modules as modules_mod
+    from qspherical.characters import _torus_support
+    m = modules("A", 3, (0, 1, 0))
+    par = params["aiii3_sl4"]
+    gens = coideal_generators(par, m)
+    line = find_spherical_lines(m, gens, par)[0]
+    support = _torus_support(m, gens, m.lam)
+    assert len(support) < m.dim
+    blocks = []
+    times = modules_mod._block_diagonal_times
+    monkeypatch.setattr(modules_mod, "_block_diagonal_times",
+                        lambda d, b, x: blocks.extend(b.values()) or times(d, b, x))
+    f = dual_spherical_vector(m, gens, line.character.b_values, m.lam)
+    assert blocks and all(k in support for idxs in blocks for k in idxs)
+    assert m.shapovalov(f, line.vector)

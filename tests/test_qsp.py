@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from qspherical import Field
+import qspherical.qsp as qsp
 from qspherical.braid import Operator, phi_diag
+from qspherical.modules import build_simple
 from qspherical.qsp import (Parameter, ParameterError,
                             ad_Kh_parameter, chi_shift_coideal,
                             coideal_generators, distinguished_parameter,
@@ -191,9 +193,32 @@ def test_generators_without_black_nodes_conjugate_nothing(modules, aiii3_sl4,
     # T_w_black is the identity, so B_i = F_i + c_i E_tau(i) K_i^-1 directly
     monkeypatch.setattr(Operator, "conj",
                         lambda self, x: pytest.fail("conjugated by the identity"))
-    m = modules("A", 3, (0, 1, 0))
+    # a fresh module, so that the generators are built here and not cached
+    m = build_simple(aiii3_sl4.datum, (0, 1, 0), F)
     par = params["aiii3_sl4"]
     gens = coideal_generators(par, m)
     for i in aiii3_sl4.I_circ:
         e_part = la.mat_mul(m.e_mats[aiii3_sl4.tau[i]], m.k_i_matrix(i, -1))
         assert gens.B[i].mat == la.mat_add(m.f_mats[i], la.mat_scale(e_part, par.c[i]))
+
+
+def test_generators_are_built_once_per_module_and_parameter(aii3, params,
+                                                            monkeypatch):
+    words = []
+    build = qsp.lusztig_T_word
+    monkeypatch.setattr(qsp, "lusztig_T_word",
+                        lambda *args: words.append(args[0]) or build(*args))
+    m = build_simple(aii3.datum, (0, 1, 0), F)
+    par = params["aii3"]
+    gens = coideal_generators(par, m)
+    assert words == [aii3.w_black]
+    # an equal parameter is the same key: the cached object, no braid word
+    again = Parameter(aii3, {1: F.q})
+    assert coideal_generators(again, m) is gens
+    assert coideal_generators(par, m) is gens
+    assert len(words) == 1
+    # another Satake datum with the same c values is another key
+    from qspherical import SatakeDatum
+    other = Parameter(SatakeDatum(aii3.datum, (), (0, 1, 2)),
+                      {0: F.q, 1: F.q, 2: F.q})
+    assert coideal_generators(other, m) is not gens

@@ -416,3 +416,24 @@ def test_blockwise_rho_matches_the_dense_adjoint(path, root_order):
     assert relative or root_order == 1
     for mat in mats:
         assert la.mat_eq(m.rho_twist_matrix(mat), _dense_rho(m, mat))
+
+
+def test_module_caches_tell_satake_data_apart():
+    """AIII and AI on sl3 with the same c values share a module: each datum
+    gets its own intertwiner and relative braid operator from the caches."""
+    from qspherical import SatakeDatum, root_datum
+    from qspherical.scalars import parse_scalar
+    field = Field(4)
+    datum = root_datum("A", 2)
+    half = parse_scalar("q^(1/2)", field)
+    aiii = Parameter(SatakeDatum(datum, (), (1, 0)), {0: half, 1: half})
+    ai = Parameter(SatakeDatum(datum, (), (0, 1)), {0: half, 1: half})
+    m = build_simple(datum, (1, 1), field)
+    first = quasi_k(0, aiii, m)
+    wz_operator(0, aiii, m)
+    fresh = build_simple(datum, (1, 1), field)
+    second = quasi_k(0, ai, m)
+    assert second is not first
+    assert second.operator.mat == quasi_k(0, ai, fresh).operator.mat
+    assert second.operator.mat != first.operator.mat
+    assert wz_operator(0, ai, m).mat == wz_operator(0, ai, fresh).mat

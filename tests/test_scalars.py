@@ -15,6 +15,13 @@ from qspherical.scalars import Field, FieldElem, UnrepresentableScalar, parse_sc
 F = Field(2)
 
 
+@pytest.fixture
+def fresh_memo():
+    """An empty memo of the operations that need a gcd, so that a test that
+    counts gcd or kernel calls sees the same calls in any test order."""
+    scalars._memo.cache_clear()
+
+
 V = sympy.Symbol("v")
 QIV = QQ_I.frac_field(V)
 
@@ -379,6 +386,7 @@ def test_hot_paths_build_no_fraction(monkeypatch):
                 FieldElem(F, (6, 5, 1), (3, 4, 1))]
 
     expected = ops()
+    scalars._memo.cache_clear()
 
     class NoFraction:
         def __new__(cls, *args):
@@ -526,7 +534,7 @@ def test_fallbacks_on_deflated_polynomials(pair):
 
 
 @pytest.mark.parametrize("n,m", [(5, 3), (6, 3), (6, 2)])
-def test_quantum_integer_quotients_reduce_deflated(monkeypatch, n, m):
+def test_quantum_integer_quotients_reduce_deflated(monkeypatch, fresh_memo, n, m):
     """[n]/[m] at root order 2 is a quotient of polynomials in v^4 = q^2 of
     degree at most 4(n-1); the heuristic sees them in q^2, of length <= n."""
     calls = []
@@ -609,7 +617,7 @@ def _gaussian_kernel_calls(mp):
     return calls
 
 
-def test_axis_values_skip_the_gaussian_kernels():
+def test_axis_values_skip_the_gaussian_kernels(fresh_memo):
     i = ((0, 1),)
     # i v^2 / (v^2 + 1), i (v^2 - 1) and a real value
     x = FieldElem(F, ((0, 0),) * 2 + i, ((1, 0), (0, 0), (1, 0)))
@@ -632,7 +640,7 @@ def test_axis_values_skip_the_gaussian_kernels():
         assert not frac_of(value) - expected
 
 
-def test_precompose_round_runs_no_gaussian_kernel():
+def test_precompose_round_runs_no_gaussian_kernel(fresh_memo):
     """Criterion 08's pairing loop on ai1 L(4): the character values are
     imaginary, and every value the loop meets lies on an axis."""
     import qspherical.linalg as la
@@ -665,3 +673,95 @@ def test_precompose_round_runs_no_gaussian_kernel():
                 assert (m.shapovalov(f, act_matrix(moved, line.vector))
                         == m.shapovalov(f, act_matrix(x, line.vector)))
     assert calls == []
+
+
+# -- the memo of the operations that need a gcd ------------------------------
+
+def _memo_size():
+    return scalars._memo.cache_info().currsize
+
+
+def _repeat_matches_oracle(x, y):
+    """Each operation twice, the second time with equal copies of the
+    operands: the same tuples both times, and the QQ_I(v) value."""
+    cx = FieldElem(x.field, x.num, x.den, _normalized=True)
+    cy = FieldElem(y.field, y.num, y.den, _normalized=True)
+    fx, fy = frac_of(x), frac_of(y)
+    for op, expected in ((lambda a, b: a * b, fx * fy), (lambda a, b: a + b, fx + fy),
+                         (lambda a, b: a - b, fx - fy), (lambda a, b: b * a, fx * fy)):
+        first, again = op(x, y), op(cx, cy)
+        assert (again.num, again.den) == (first.num, first.den)
+        assert not frac_of(again) - expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(field_elems(), field_elems())
+def test_memoized_operations_match_qq_i_oracle(x, y):
+    """Int form and Gaussian pair form, most with non-monomial dens."""
+    _repeat_matches_oracle(x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(axis_pairs())
+def test_memoized_axis_operations_match_qq_i_oracle(pair):
+    _repeat_matches_oracle(*pair)
+
+
+def test_memo_builds_results_in_the_callers_field(fresh_memo):
+    """Equal tuples at different root orders share memo entries, and every
+    result belongs to the field of the operation that asked for it."""
+    got = {}
+    for order in (1, 2, 4):
+        field = Field(order)
+        x = FieldElem(field, (1, 2, 0, 1), (3, 0, 1))
+        y = FieldElem(field, ((0, 1), (1, 0)), ((1, 0), (1, 1)))
+        hits = scalars._memo.cache_info().hits
+        out = [x * y, x + y, y * y, x + x]
+        assert all(z.field is field for z in out)
+        assert scalars._memo.cache_info().hits == hits + (4 if order > 1 else 0)
+        got[order] = [(z.num, z.den) for z in out]
+        assert all(parse_scalar(z.serialize(), field) == z for z in out)
+        assert not frac_of(out[0]) - frac_of(x) * frac_of(y)
+    assert got[1] == got[2] == got[4]
+
+
+def test_memo_stays_within_its_bound(fresh_memo):
+    """Past its bound the memo evicts the least recently used operation;
+    an operation on monomial dens leaves it alone."""
+    bound = scalars._MEMO_SIZE
+    assert scalars._memo.cache_info().maxsize == bound
+    y = FieldElem(F, (1,), (1, 1))
+    for n in range(1, bound + 40):
+        F.rational(n) * y
+        assert _memo_size() <= bound
+    assert _memo_size() == bound
+    before = scalars._memo.cache_info()
+    assert F.q * F.v_power(-3) + F.rational(5) * F.i == F.v_power(-1) + 5 * F.i
+    assert scalars._memo.cache_info() == before
+    # the oldest entry is gone, the newest is kept
+    misses = before.misses
+    F.rational(bound + 39) * y
+    assert scalars._memo.cache_info().misses == misses
+    F.rational(1) * y
+    assert scalars._memo.cache_info().misses == misses + 1
+
+
+def test_repeated_product_cancels_once(monkeypatch, fresh_memo):
+    x = FieldElem(F, (1, 1), (1, 0, 1))
+    y = FieldElem(F, (1, 0, 1), (2, 1))
+    copies = (FieldElem(F, x.num, x.den, _normalized=True),
+              FieldElem(F, y.num, y.den, _normalized=True))
+    calls = []
+    cancel = scalars._cancel
+    monkeypatch.setattr(scalars, "_cancel",
+                        lambda f, g, ring: calls.append(f) or cancel(f, g, ring))
+    first = x * y
+    assert len(calls) == 1
+    again = [x * y, copies[0] * copies[1]]
+    assert len(calls) == 1
+    assert all((z.num, z.den) == (first.num, first.den) for z in again)
+    assert not frac_of(first) - frac_of(x) * frac_of(y)
+    # the other order and the sum are other operations
+    y * x
+    x + y
+    assert len(calls) == 3
