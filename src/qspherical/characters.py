@@ -186,6 +186,16 @@ def _support_kernel(module: SimpleModule, rows: list, support: list) -> list:
     return out
 
 
+def _joint_kernel(module: SimpleModule, base_rows: list, white: dict,
+                  values: dict, support: list) -> list:
+    """The joint kernel on the support of the base rows and of the
+    eigen-rows X_i - values[i] of each white operator X_i."""
+    rows = list(base_rows)
+    for i in sorted(white):
+        rows.extend(_eigen_rows(white[i].mat, values[i], support))
+    return _support_kernel(module, rows, support)
+
+
 def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
                          param: Parameter) -> list:
     """All one-dimensional coideal submodules of the module.
@@ -213,10 +223,7 @@ def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
     lines = []
     for combo in itertools.product(*node_candidates):
         values = {i: v for i, (v, _) in zip(nodes, combo)}
-        rows = list(base_rows)
-        for i in nodes:
-            rows.extend(_eigen_rows(gens.B[i].mat, values[i], support))
-        kernel = _support_kernel(module, rows, support)
+        kernel = _joint_kernel(module, base_rows, gens.B, values, support)
         if not kernel:
             continue
         if len(kernel) > 1:
@@ -239,18 +246,12 @@ def dual_spherical_vector(module: SimpleModule, gens: CoidealGenerators,
 
     Right action through the adjoint rho for the contravariant form: the
     conditions are rho(E_j) f = F_j f = 0, rho(F_j) f = E_j f = 0,
-    K_h f = q^<h,lam> f (the torus support) and rho(B_i) f = value f.
+    K_h f = q^<h,lam> f (the torus support) and rho(B_i) f = value f, the
+    same system as a spherical line's with rho(B_i) in place of B_i.
     """
     support = _torus_support(module, gens, lam)
-    rows = _black_rows(module, gens, support)
-    for i in sorted(gens.param.satake.I_circ):
-        # G is invertible, so rho(B_i) - value = G^-1 B_i^T G - value has the
-        # kernel of (G (B_i - value))^T, whose rows need no inverse; f lives
-        # on the support, so only the rows of G (B_i - value) there count
-        shifted = module.gram_times(_eigen_rows(gens.B[i].mat, b_values[i],
-                                                range(module.dim)), support)
-        rows.extend(linalg.transpose(shifted))
-    kernel = _support_kernel(module, rows, support)
+    kernel = _joint_kernel(module, _black_rows(module, gens, support),
+                           gens.rho_B, b_values, support)
     if not kernel:
         raise NoDualLine(f"no dual line with values {b_values} on L{tuple(lam)}")
     if len(kernel) > 1:

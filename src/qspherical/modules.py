@@ -186,35 +186,15 @@ class SimpleModule(WeightModule):
             out = out + value
         return out
 
-    def gram_times(self, mat: list, support=None) -> list:
+    def gram_times(self, mat: list) -> list:
         """G X for the contravariant form G: one product of G_mu with the
-        rows of X in block mu per weight mu.  Given a support, a list of
-        basis indices that is a union of weight blocks, only the rows of
-        G X on it, in its order, from the products on its blocks."""
-        blocks = self.blocks
-        if support is not None:
-            keep = set(support)
-            blocks = {mu: idxs for mu, idxs in blocks.items() if idxs[0] in keep}
-        out = _block_diagonal_times(self.grams, blocks, mat)
-        return out if support is None else [out[k] for k in support]
-
-    def rho_twist_matrix(self, mat: list) -> list:
-        """Transpose antiautomorphism realized by the Gram form:
-        (v, X w) = (rho_twist(X) v, w) for every operator matrix X.  It is
-        G^-1 X^T G = G^-1 (G X)^T, with the Gram blocks inverted per call."""
-        inverses = {mu: linalg.invert(g) for mu, g in self.grams.items()}
-        return _block_diagonal_times(inverses, self.blocks,
-                                     linalg.transpose(self.gram_times(mat)))
-
-
-def _block_diagonal_times(diagonal: dict, blocks: dict, mat: list) -> list:
-    """D X for the block-diagonal D with block diagonal[mu] on the basis
-    indices blocks[mu]."""
-    out = [None] * len(mat)
-    for mu, idxs in blocks.items():
-        for r, row in zip(idxs, linalg.mat_mul(diagonal[mu], [mat[r] for r in idxs])):
-            out[r] = row
-    return out
+        rows of X in block mu per weight mu."""
+        out = [None] * len(mat)
+        for mu, idxs in self.blocks.items():
+            for r, row in zip(idxs, linalg.mat_mul(self.grams[mu],
+                                                   [mat[r] for r in idxs])):
+                out[r] = row
+        return out
 
 
 def act_matrix(mat: list, v: ModuleVector) -> ModuleVector:

@@ -8,6 +8,7 @@ of parameters, and the character-shifted coideal all live here.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg
@@ -178,31 +179,50 @@ def distinguished_parameter(satake: SatakeDatum, field: Field) -> Parameter:
 
 
 class CoidealGenerators:
-    """Matrix realization of the coideal generators on one module."""
+    """Matrix realization of the coideal generators on one module, and of
+    the white generators' images under the antiautomorphism rho of the
+    contravariant form, (v, X w) = (rho(X) v, w)."""
 
     def __init__(self, param: Parameter, module: WeightModule):
         self.param = param
         self.module = module
         satake = param.satake
-        field = module.field
-        self.B = {}
-        # with no black nodes T_w_black is the identity
-        tww = (lusztig_T_word(satake.w_black, 1, "doubleprime", module)
-               if satake.w_black else None)
-        for i in satake.I_circ:
-            ti = satake.tau[i]
-            e_conj = tww.conj(module.e_mats[ti]).mat if tww else module.e_mats[ti]
-            mat = linalg.mat_mul(e_conj, module.k_i_matrix(i, -1))
-            mat = linalg.mat_scale(mat, param.c[i])
-            mat = linalg.mat_add(module.f_mats[i], mat)
-            if param.s[i]:
-                mat = linalg.mat_add(
-                    mat, linalg.mat_scale(module.k_i_matrix(i, -1), param.s[i]))
-            self.B[i] = Operator(module, mat)
+        self.B = self._white(1)
         self.black_E = {j: Operator(module, module.e_mats[j]) for j in satake.black}
         self.black_F = {j: Operator(module, module.f_mats[j]) for j in satake.black}
         self.torus = [(h, Operator(module, module.k_matrix(h)))
                       for h in satake.theta_fixed_torus_generators()]
+
+    @functools.cached_property
+    def rho_B(self) -> dict:
+        """rho(B_i) = E_i + c_i K_i^-1 T''_{w_black,-1}(F_tau(i)) + s_i K_i^-1,
+        built the first time a dual line asks for it.  rho fixes K, swaps
+        E_j and F_j and reverses products, and rho T''_{j,e} = T''_{j,-e} rho
+        (Lusztig 37.1.2, 37.2.4)."""
+        return self._white(-1)
+
+    def _white(self, e: int) -> dict:
+        """B_i = F_i + c_i T''_{w_black,1}(E_tau(i)) K_i^-1 + s_i K_i^-1 for
+        e = 1, and its image rho(B_i) for e = -1."""
+        module, param = self.module, self.param
+        satake = param.satake
+        raising, lowering = ((module.e_mats, module.f_mats) if e == 1
+                             else (module.f_mats, module.e_mats))
+        # with no black nodes T_w_black is the identity
+        tww = (lusztig_T_word(satake.w_black, e, "doubleprime", module)
+               if satake.w_black else None)
+        out = {}
+        for i in satake.I_circ:
+            ti = satake.tau[i]
+            conj = tww.conj(raising[ti]).mat if tww else raising[ti]
+            kinv = module.k_i_matrix(i, -1)
+            mat = linalg.mat_mul(*((conj, kinv) if e == 1 else (kinv, conj)))
+            mat = linalg.mat_scale(mat, param.c[i])
+            mat = linalg.mat_add(lowering[i], mat)
+            if param.s[i]:
+                mat = linalg.mat_add(mat, linalg.mat_scale(kinv, param.s[i]))
+            out[i] = Operator(module, mat)
+        return out
 
     def all_named(self) -> list:
         out = [(f"B_{i}", op) for i, op in sorted(self.B.items())]

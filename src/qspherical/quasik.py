@@ -362,12 +362,18 @@ def wz_character_check(line: SphericalLine, i: int, param: Parameter,
 def wz_precompose(coeff, i: int, param: Parameter):
     """Precomposition of a matrix coefficient with the relative braid operator.
 
-    The result is again a matrix coefficient on the same module: the dual
-    vector moves by the transpose of the operator, the vector by its inverse.
+    The result is again a matrix coefficient on the same module: the vector
+    moves by the inverse of the operator W, and the dual vector f by its
+    adjoint rho(W) = G^-1 W^T G for the contravariant form G, applied to f
+    as G f, then W^T, then one solve per Gram block.
     """
     module = coeff.module
     w = wz_operator(i, param, module)
-    f_new = ModuleVector(module,
-                         linalg.mat_vec(module.rho_twist_matrix(w.mat), coeff.f.coeffs))
+    g = [x for x, in module.gram_times([[x] for x in coeff.f.coeffs])]
+    h = linalg.mat_vec(linalg.transpose(w.mat), g)
+    f_new = [None] * module.dim
+    for mu, idxs in module.blocks.items():
+        for r, x in zip(idxs, linalg.solve(module.grams[mu], [h[r] for r in idxs])):
+            f_new[r] = x
     v_new = w.inverse().apply(coeff.v)
-    return MatrixCoefficient(module, f_new, v_new)
+    return MatrixCoefficient(module, ModuleVector(module, f_new), v_new)

@@ -1,7 +1,9 @@
+import itertools
 import warnings
 
 import pytest
 
+import qspherical.linalg as la
 from qspherical import Field, SatakeDatum, build_simple, root_datum
 from qspherical.qsp import Parameter, distinguished_parameter
 from qspherical.scalars import parse_scalar
@@ -64,3 +66,20 @@ def params(field, ai1, aiii_sl3, aiii3_sl4, aii3):
                                {0: field.one, 1: field.q.inverse(), 2: field.one}),
         "aii3": Parameter(aii3, {1: field.q}),
     }
+
+
+def _dense_rho(m, mat):
+    """The reference adjoint G^-1 X^T G, with G the dense Gram matrix of the
+    whole module."""
+    g = la.zeros(m.dim, m.dim, m.field)
+    for mu, idxs in m.blocks.items():
+        for (a, ia), (b, ib) in itertools.product(enumerate(idxs), repeat=2):
+            g[ia][ib] = m.grams[mu][a][b]
+    return la.mat_mul(la.invert(g), la.mat_mul(la.transpose(mat), g))
+
+
+@pytest.fixture(scope="session")
+def dense_rho():
+    """The dense oracle for the antiautomorphism rho of the contravariant
+    form: dense_rho(module, X) satisfies (v, X w) = (rho(X) v, w)."""
+    return _dense_rho

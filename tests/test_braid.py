@@ -112,30 +112,30 @@ def test_bar_conjugation_relations(modules):
                 lusztig_T(0, -e, kind, m)
 
 
-def test_transpose_twist_relations(modules):
-    # rho . T_{i,e} = T_{i,-e} . rho on operators, realized by the Gram form
+def test_transpose_twist_relations(modules, dense_rho):
+    # rho . T_{i,e} = T_{i,-e} . rho on operators, rho from the dense Gram form
     m = modules("A", 1, (2,))
     e_op = Operator(m, m.e_mats[0])
     for kind in ("prime", "doubleprime"):
         for e in (1, -1):
-            lhs = Operator(m, m.rho_twist_matrix(
-                lusztig_T_word((0,), e, kind, m).conj(e_op).mat))
+            lhs = Operator(m, dense_rho(
+                m, lusztig_T_word((0,), e, kind, m).conj(e_op).mat))
             rhs = lusztig_T_word((0,), -e, kind, m).conj(
-                Operator(m, m.rho_twist_matrix(e_op.mat)))
+                Operator(m, dense_rho(m, e_op.mat)))
             assert lhs == rhs
 
 
-def test_transpose_of_composite_raising_conjugate(modules, aii3):
+def test_transpose_of_composite_raising_conjugate(modules, aii3, dense_rho):
     # the composite consequence of the transpose/flip relations that the
-    # shifted-coideal theory uses: the Gram transpose of the plus-sign
-    # conjugate of a raising generator is the minus-sign conjugate of the
-    # matching lowering generator
+    # coideal's rho(B_i) and the shifted-coideal theory use: the Gram
+    # transpose of the plus-sign conjugate of a raising generator is the
+    # minus-sign conjugate of the matching lowering generator
     m = modules("A", 3, (0, 1, 0))
     word = aii3.w_black
     e_op = Operator(m, m.e_mats[1])
     f_op = Operator(m, m.f_mats[1])
-    lhs = Operator(m, m.rho_twist_matrix(
-        lusztig_T_word(word, 1, "doubleprime", m).conj(e_op).mat))
+    lhs = Operator(m, dense_rho(
+        m, lusztig_T_word(word, 1, "doubleprime", m).conj(e_op).mat))
     rhs = lusztig_T_word(word, -1, "doubleprime", m).conj(f_op)
     assert lhs == rhs
 

@@ -221,10 +221,11 @@ def _stacked_kernel(module, gens, lam, white):
 
 
 @pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: p.stem)
-def test_support_kernels_match_the_stacked_torus_rows(path):
+def test_support_kernels_match_the_stacked_torus_rows(path, dense_rho):
     # every candidate value tuple, for lines (B_i) and dual lines (rho(B_i),
     # and the form applied to B_i - value, which has the same kernel), with
-    # or without a solution
+    # or without a solution; the stacked reference takes rho from the dense
+    # Gram form
     import itertools
     from qspherical.characters import (_black_rows, _candidate_values,
                                        _eigen_rows, _support_kernel,
@@ -245,20 +246,20 @@ def test_support_kernels_match_the_stacked_torus_rows(path):
                   if i in satake.I_ns else [(F.zero, None)] for i in nodes]
 
         def form_applied(mat, v):
-            # the dual rows of dual_spherical_vector: (G (B_i - value))^T on
-            # the support, from the products on the support's blocks only
-            shifted = _eigen_rows(mat, v, range(m.dim))
-            on_support = m.gram_times(shifted, support)
-            assert on_support == [m.gram_times(shifted)[k] for k in support]
-            return la.transpose(on_support)
+            # G is invertible, so (G (B_i - value))^T has the kernel of
+            # rho(B_i) - value; on the support only its support rows count
+            full = m.gram_times(_eigen_rows(mat, v, range(m.dim)))
+            return la.transpose([full[k] for k in support])
 
         for combo in itertools.product(*values):
             plain = [(gens.B[i].mat, v) for i, (v, _) in zip(nodes, combo)]
-            rho = [(m.rho_twist_matrix(mat), v) for mat, v in plain]
+            rho = [(dense_rho(m, mat), v) for mat, v in plain]
+            rho_rows = [_eigen_rows(gens.rho_B[i].mat, v, support)
+                        for i, (v, _) in zip(nodes, combo)]
             # (stacked reference, white rows on the support)
             for white, white_rows in (
                     (plain, [_eigen_rows(mat, v, support) for mat, v in plain]),
-                    (rho, [_eigen_rows(mat, v, support) for mat, v in rho]),
+                    (rho, rho_rows),
                     (rho, [form_applied(mat, v) for mat, v in plain])):
                 rows = _black_rows(m, gens, support)
                 for block in white_rows:
@@ -284,20 +285,28 @@ def test_candidate_values_take_one_root_per_node(modules, ai1, params,
                    for l in (0, 1, -1, 2, -2, 3, -3, 4, -4)]
 
 
-def test_dual_lines_apply_the_form_on_the_support_only(modules, aiii3_sl4,
-                                                       params, monkeypatch):
-    import qspherical.modules as modules_mod
-    from qspherical.characters import _torus_support
+@pytest.mark.parametrize("key", ["aiii3_sl4", "aii3"])
+def test_dual_lines_touch_no_gram_block(key, modules, params, monkeypatch):
+    # the dual system is the spherical one with rho(B_i) for B_i: neither
+    # the form G X nor any product with a Gram block enters it
+    from qspherical.modules import SimpleModule
+    from qspherical.qsp import CoidealGenerators
     m = modules("A", 3, (0, 1, 0))
-    par = params["aiii3_sl4"]
-    gens = coideal_generators(par, m)
+    par = params[key]
+    gens = CoidealGenerators(par, m)    # rho(B_i) is built under the spies
     line = find_spherical_lines(m, gens, par)[0]
-    support = _torus_support(m, gens, m.lam)
-    assert len(support) < m.dim
-    blocks = []
-    times = modules_mod._block_diagonal_times
-    monkeypatch.setattr(modules_mod, "_block_diagonal_times",
-                        lambda d, b, x: blocks.extend(b.values()) or times(d, b, x))
+    grams = list(m.grams.values())
+    mat_mul = la.mat_mul
+
+    def no_gram_block(a, b):
+        assert not any(x is g for x in (a, b) for g in grams)
+        return mat_mul(a, b)
+
+    def no_form(self, mat):
+        raise AssertionError("the contravariant form was applied")
+
+    monkeypatch.setattr(la, "mat_mul", no_gram_block)
+    monkeypatch.setattr(SimpleModule, "gram_times", no_form)
     f = dual_spherical_vector(m, gens, line.character.b_values, m.lam)
-    assert blocks and all(k in support for idxs in blocks for k in idxs)
     assert m.shapovalov(f, line.vector)
+    assert m.shapovalov(find_dual_spherical(line, gens), line.vector) == m.field.one

@@ -346,8 +346,8 @@ def test_invariance_makes_no_solve_call(tmp_path, monkeypatch, config, c_args, w
 @pytest.mark.parametrize("config, c_args, weight", BENCHMARK_INVARIANCE,
                          ids=[job[0] for job in BENCHMARK_INVARIANCE])
 def test_invariance_inverts_nothing(tmp_path, monkeypatch, config, c_args, weight):
-    # dual lines apply the contravariant form to B_i - value instead of
-    # forming the adjoint rho from inverted Gram blocks
+    # dual lines solve rho(B_i) - value, with rho(B_i) built from E, F, K
+    # and a braid word instead of from inverted Gram blocks
     sizes = []
     invert = linalg.invert
     monkeypatch.setattr(linalg, "invert", lambda a: sizes.append(len(a)) or invert(a))
@@ -378,8 +378,8 @@ def test_closed_stdout_keeps_the_run_status():
 
 
 def test_aii3_sweep_inverts_nothing(monkeypatch, tmp_path):
-    # braid composites carry their inverses, and dual lines apply the
-    # contravariant form, so nothing is inverted by elimination
+    # braid composites carry their inverses, and dual lines solve
+    # rho(B_i) - value, so nothing is inverted by elimination
     sizes = []
     invert = linalg.invert
     monkeypatch.setattr(linalg, "invert", lambda a: sizes.append(len(a)) or invert(a))

@@ -90,8 +90,8 @@ def test_golden_report(stem, argv, tmp_path):
 
 
 def test_no_case_inverts_a_matrix(tmp_path, monkeypatch):
-    # braid composites carry their inverses and dual lines apply the
-    # contravariant form, so no command inverts a matrix by elimination
+    # braid composites carry their inverses and dual lines solve
+    # rho(B_i) - value, so no command inverts a matrix by elimination
     import qspherical.linalg as linalg
     sizes = []
     invert = linalg.invert

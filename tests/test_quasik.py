@@ -1,4 +1,3 @@
-import itertools
 import json
 import pathlib
 import random
@@ -6,7 +5,7 @@ import random
 import pytest
 
 from qspherical import Field
-from qspherical.braid import Operator, lusztig_T_word, phi_diag, rescaled_T
+from qspherical.braid import Operator, phi_diag, rescaled_T
 from qspherical.characters import find_spherical_lines
 from qspherical.modules import act_matrix, build_simple
 from qspherical.qsp import (Parameter, ParameterError, coideal_generators,
@@ -160,24 +159,28 @@ def test_iota_bar_fixes_lines_after_scaling(modules, ai1, params):
         assert qk.operator.apply(v.bar()) == v
 
 
-def test_wz_precompose(modules, ai1, params):
+def test_wz_precompose(modules, params):
+    # aiii_sl3 L(1,1) has a 2x2 Gram block on its zero weight, so the dual
+    # vector moves by a solve on more than scalars there
     from qspherical.spherical import MatrixCoefficient
     from qspherical.characters import find_dual_spherical
-    m = modules("A", 1, (2,))
-    par = params["ai1_dist"]
-    gens = coideal_generators(par, m)
-    line = find_spherical_lines(m, gens, par)[0]
-    f = find_dual_spherical(line, gens)
-    coeff = MatrixCoefficient(m, f, line.vector)
-    moved = wz_precompose(coeff, 0, par)
-    # a spherical coefficient is fixed by precomposition
     rng = random.Random(5)
-    pool = [m.e_mats[0], m.f_mats[0], m.k_i_matrix(0)]
-    for _ in range(8):
-        word = la.identity(m.dim, F)
-        for _ in range(rng.randrange(0, 4)):
-            word = la.mat_mul(word, pool[rng.randrange(3)])
-        assert coeff.evaluate(word) == moved.evaluate(word)
+    for lam, key in (((2,), "ai1_dist"), ((1, 1), "aiii_sl3_uniform")):
+        m = modules("A", len(lam), lam)
+        par = params[key]
+        gens = coideal_generators(par, m)
+        line = find_spherical_lines(m, gens, par)[0]
+        f = find_dual_spherical(line, gens)
+        coeff = MatrixCoefficient(m, f, line.vector)
+        moved = wz_precompose(coeff, 0, par)
+        # a spherical coefficient is fixed by precomposition
+        pool = [x for i in range(m.datum.n)
+                for x in (m.e_mats[i], m.f_mats[i], m.k_i_matrix(i))]
+        for _ in range(8):
+            word = la.identity(m.dim, F)
+            for _ in range(rng.randrange(0, 4)):
+                word = la.mat_mul(word, pool[rng.randrange(len(pool))])
+            assert coeff.evaluate(word) == moved.evaluate(word)
 
 
 def test_relative_braid_relation_rank_two(modules, aiii3_sl4, params):
@@ -378,21 +381,14 @@ def test_degree_blocks_keep_the_inconsistent_verdict(modules, ai1, aiii_sl3,
             _solve_intertwiner(0, ai1, pairs, m)
 
 
-def _dense_rho(m, mat):
-    """The reference adjoint G^-1 X^T G, with G the dense Gram matrix of the
-    whole module."""
-    g = la.zeros(m.dim, m.dim, m.field)
-    for mu, idxs in m.blocks.items():
-        for (a, ia), (b, ib) in itertools.product(enumerate(idxs), repeat=2):
-            g[ia][ib] = m.grams[mu][a][b]
-    return la.mat_mul(la.invert(g), la.mat_mul(la.transpose(mat), g))
-
-
 @pytest.mark.parametrize("root_order", [1, 4])
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
-def test_blockwise_rho_matches_the_dense_adjoint(path, root_order):
-    # generators, coideal generators (B_i, black E_j/F_j, K_h), a braid word
-    # and the relative braid operators with their inverses
+def test_blockwise_rho_matches_the_dense_adjoint(path, root_order, dense_rho):
+    # each rho(B_i) of the coideal generators, and the dual vector that
+    # precomposition with a relative braid operator W moves to rho(W) f by
+    # one solve per Gram block, against the dense G^-1 X^T G
+    from qspherical.modules import ModuleVector
+    from qspherical.spherical import MatrixCoefficient
     field = Field(root_order)
     satake = satake_from_config(json.loads(path.read_text()))
     try:
@@ -400,10 +396,12 @@ def test_blockwise_rho_matches_the_dense_adjoint(path, root_order):
     except UnrepresentableScalar:     # aiii_sl3's is -q^(-1/2)
         par = Parameter(satake, {i: field.q for i in satake.I_circ})
     m = build_simple(satake.datum, SWEEP_WEIGHTS[path.stem][-1], field)
-    mats = [m.e_mats[i] for i in range(m.datum.n)]
-    mats += [m.f_mats[i] for i in range(m.datum.n)] + [m.k_i_matrix(0)]
-    mats += [op.mat for _, op in coideal_generators(par, m).all_named()]
-    mats.append(lusztig_T_word(m.datum.w0_word(), 1, "prime", m).mat)
+    gens = coideal_generators(par, m)
+    for i, b in gens.B.items():
+        assert la.mat_eq(gens.rho_B[i].mat, dense_rho(m, b.mat))
+    # a dual vector with no zero coefficient, so every weight block counts
+    f = ModuleVector(m, [field.q ** k + field.one for k in range(m.dim)])
+    coeff = MatrixCoefficient(m, f, m.highest_vector())
     relative = 0
     for i in satake.relative_orbit_representatives():
         try:
@@ -411,11 +409,11 @@ def test_blockwise_rho_matches_the_dense_adjoint(path, root_order):
         except UnrepresentableScalar:
             assert root_order == 1    # the twists need square roots of q
             continue
-        mats += [w.mat, w.inverse().mat]
+        moved = wz_precompose(coeff, i, par)
+        assert moved.f.coeffs == la.mat_vec(dense_rho(m, w.mat), f.coeffs)
+        assert moved.v == w.inverse().apply(coeff.v)
         relative += 1
     assert relative or root_order == 1
-    for mat in mats:
-        assert la.mat_eq(m.rho_twist_matrix(mat), _dense_rho(m, mat))
 
 
 def test_module_caches_tell_satake_data_apart():
