@@ -1,10 +1,13 @@
 """Braid group operators on weight modules.
 
 The rank-one operators are evaluated by the divided-power triple sum on each
-weight vector; composites follow reduced words.  Conjugation by a composite
-realizes the corresponding algebra automorphism on any operator matrix.
-Diagonal twists rescale the Chevalley generators and implement the rescaled
-operators attached to a parameter.
+weight vector, once per module; composites follow reduced words and keep
+their factors, so they act on a vector one factor at a time and form a dense
+matrix only when it is read.  Conjugation by a composite realizes the
+corresponding algebra automorphism on any operator matrix.  Diagonal twists
+rescale the Chevalley generators and implement the rescaled operators
+attached to a parameter; a diagonal scales rows or columns and is never
+multiplied as a dense matrix.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .modules import (ModuleVector, SimpleModule, WeightModule, _divided_powers,
-                      act_matrix)
+from .modules import ModuleVector, SimpleModule, WeightModule, _divided_powers
 from .scalars import UnrepresentableScalar
 
 
@@ -24,23 +26,44 @@ class OperatorError(Exception):
 
 
 class Operator:
-    """A linear operator on a weight module, with exact matrix."""
+    """A linear operator on a weight module, with exact matrix.
 
-    __slots__ = ("module", "mat", "_inv")
+    The subclasses hold the structure of the braid operators instead: a
+    `Diagonal` holds its diagonal and a `Chain` its factors.  They act on
+    vectors and on matrices through that structure, and form `mat` on first
+    read.
+    """
+
+    __slots__ = ("module", "_mat", "_inv")
 
     def __init__(self, module: WeightModule, mat):
         self.module = module
-        self.mat = mat
+        self._mat = mat
         self._inv = None
+
+    @property
+    def mat(self) -> list:
+        """The dense matrix, formed on first read and kept."""
+        if self._mat is None:
+            self._mat = self._dense()
+        return self._mat
+
+    def act(self, coeffs: list) -> list:
+        """The image of a coefficient list."""
+        return linalg.mat_vec(self.mat, coeffs)
+
+    def times(self, mat: list) -> list:
+        """The product of this operator with a matrix, on the left."""
+        return linalg.mat_mul(self.mat, mat)
 
     @classmethod
     def identity(cls, module: WeightModule) -> "Operator":
-        ident = cls(module, linalg.identity(module.dim, module.field))
+        ident = Diagonal(module, [module.field.one] * module.dim)
         return ident.with_inverse(ident)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check(other)
-        return Operator(self.module, linalg.mat_mul(self.mat, other.mat))
+        return Chain(self.module, [self, other])
 
     def _check(self, other):
         if other.module is not self.module:
@@ -48,9 +71,11 @@ class Operator:
 
     def inverse(self) -> "Operator":
         if not isinstance(self._inv, Operator):
-            build = self._inv or (lambda: Operator(self.module, linalg.invert(self.mat)))
-            self.with_inverse(build())
+            self.with_inverse((self._inv or self._structural_inverse)())
         return self._inv
+
+    def _structural_inverse(self) -> "Operator":
+        return Operator(self.module, linalg.invert(self.mat))
 
     def with_inverse(self, inv) -> "Operator":
         """Record a known inverse (built from structure, not by elimination),
@@ -65,7 +90,7 @@ class Operator:
     def apply(self, v: ModuleVector) -> ModuleVector:
         if v.module is not self.module:
             raise OperatorError("vector lives on a different module")
-        return act_matrix(self.mat, v)
+        return ModuleVector(self.module, self.act(v.coeffs))
 
     def conj(self, x) -> "Operator":
         """The automorphism realized by this operator: x -> T x T^-1."""
@@ -99,6 +124,82 @@ class Operator:
         return out
 
 
+class Diagonal(Operator):
+    """A diagonal operator, held as its diagonal: it scales coefficients and
+    the rows of a matrix, and is inverted entrywise."""
+
+    __slots__ = ("diag",)
+
+    def __init__(self, module: WeightModule, diag: list):
+        super().__init__(module, None)
+        self.diag = diag
+
+    def _dense(self) -> list:
+        return linalg.diagonal(self.diag, self.module.field)
+
+    def act(self, coeffs: list) -> list:
+        return [d * x if x else x for d, x in zip(self.diag, coeffs)]
+
+    def times(self, mat: list) -> list:
+        return linalg.scale_rows(self.diag, mat)
+
+    def _structural_inverse(self) -> "Diagonal":
+        return Diagonal(self.module, [d.inverse() for d in self.diag])
+
+
+class Chain(Operator):
+    """A product of operators, leftmost factor first.
+
+    It acts factor by factor, right to left, and its inverse is the reversed
+    chain of the factors' inverses.  The factors may be given by a function
+    of no arguments, called when they are first needed.
+    """
+
+    __slots__ = ("_factors",)
+
+    def __init__(self, module: WeightModule, factors):
+        super().__init__(module, None)
+        self._factors = factors
+
+    @property
+    def factors(self) -> list:
+        if callable(self._factors):
+            self._factors = self._factors()
+        return self._factors
+
+    def _dense(self) -> list:
+        return _product(self.factors)
+
+    def act(self, coeffs: list) -> list:
+        for f in reversed(self.factors):
+            coeffs = f.act(coeffs)
+        return coeffs
+
+    def times(self, mat: list) -> list:
+        for f in reversed(self.factors):
+            mat = f.times(mat)
+        return mat
+
+    def _structural_inverse(self) -> "Chain":
+        return Chain(self.module,
+                     lambda: [f.inverse() for f in reversed(self.factors)])
+
+
+def _product(factors: list) -> list:
+    """The dense product of the factors, leftmost first, folded from the
+    right: a diagonal at the right end scales the columns of the rest, any
+    other diagonal scales rows."""
+    *rest, last = factors
+    if not rest:
+        return last.mat
+    if isinstance(last, Diagonal):
+        return linalg.scale_columns(_product(rest), last.diag)
+    mat = last.mat
+    for f in reversed(rest):
+        mat = f.times(mat)
+    return mat
+
+
 def lusztig_T(i: int, e: int, kind: str, module: WeightModule) -> Operator:
     """Rank-one braid operator, 'prime' or 'doubleprime', sign e = +-1.
 
@@ -106,12 +207,23 @@ def lusztig_T(i: int, e: int, kind: str, module: WeightModule) -> Operator:
     triples (a, b, c) with a - b + c = p for the prime kind (lowering words
     outside) and a - b + c = -p for the double-prime kind (raising words
     outside); each term carries (-1)^b q_i^(e(b - ac)).  The divided powers
-    are applied through the nonzero entries of their columns.
+    are applied through the nonzero entries of their columns.  Built once per
+    module, with T''_{i,-e} or T'_{i,-e} as its inverse (Lusztig 37.1.2).
     """
     if e not in (1, -1):
         raise OperatorError("sign must be +1 or -1")
     if kind not in ("prime", "doubleprime"):
         raise OperatorError(f"unknown kind {kind!r}")
+    key = ("lusztig_T", i, e, kind)
+    if key not in module.cache:
+        other = "doubleprime" if kind == "prime" else "prime"
+        op = Operator(module, _rank_one(i, e, kind, module))
+        module.cache[key] = op.with_inverse(lambda: lusztig_T(i, -e, other, module))
+    return module.cache[key]
+
+
+def _rank_one(i: int, e: int, kind: str, module: WeightModule) -> list:
+    """The matrix of the rank-one operator, column by column."""
     field = module.field
     datum = module.datum
     dim = module.dim
@@ -141,7 +253,7 @@ def lusztig_T(i: int, e: int, kind: str, module: WeightModule) -> Operator:
                     scal = -scal
                 for r, x in third.items():
                     out[r][col] = out[r][col] + scal * x
-    return Operator(module, out)
+    return out
 
 
 def _apply_columns(cols: list, vec: dict) -> dict:
@@ -158,18 +270,19 @@ def lusztig_T_word(word, e: int, kind: str, module: WeightModule) -> Operator:
     """Composite braid operator along a reduced word, leftmost factor first,
     with its inverse attached: T'_{i,e} and T''_{i,-e} are mutually inverse
     (Lusztig 37.1.2), so the inverse is the composite of the other kind with
-    sign -e along the reversed word, built when first asked for."""
+    sign -e along the reversed word.  Both are chains of rank-one operators;
+    the inverse's are built when it first acts."""
     if not word:
         return Operator.identity(module)
     other = "doubleprime" if kind == "prime" else "prime"
-    return _composite(word, e, kind, module).with_inverse(
-        lambda: _composite(word[::-1], -e, other, module))
+    return Chain(module, _letters(word, e, kind, module)).with_inverse(
+        Chain(module, lambda: _letters(word[::-1], -e, other, module)))
 
 
-def _composite(word, e: int, kind: str, module: WeightModule) -> Operator:
-    """The product along the word; one rank-one operator per distinct letter."""
+def _letters(word, e: int, kind: str, module: WeightModule) -> list:
+    """The factors along the word; one rank-one operator per distinct letter."""
     factors = {i: lusztig_T(i, e, kind, module) for i in dict.fromkeys(word)}
-    return functools.reduce(operator.matmul, (factors[i] for i in word))
+    return [factors[i] for i in word]
 
 
 def phi_diag(a: dict, module: SimpleModule) -> Operator:
@@ -185,8 +298,7 @@ def phi_diag(a: dict, module: SimpleModule) -> Operator:
     roots = _monomial_roots(a, field)
     diag = [functools.reduce(operator.mul, (root ** t[i] for i, root in roots.items()),
                              field.one) for t in module.deficits]
-    return Operator(module, linalg.diagonal(diag, field)).with_inverse(
-        Operator(module, linalg.diagonal([x.inverse() for x in diag], field)))
+    return Diagonal(module, diag)
 
 
 def _monomial_roots(a: dict, field) -> dict:
@@ -204,7 +316,8 @@ def _monomial_roots(a: dict, field) -> dict:
 def rescaled_T(i: int, param, module: SimpleModule) -> Operator:
     """Rescaled braid operator attached to a balanced parameter: the twist by
     bar(c_distinguished) * c applied to the composite operator of the relative
-    reflection."""
+    reflection, as the chain phi^-1 T'_w phi of the diagonal phi and the
+    composite."""
     from .qsp import distinguished_parameter
     satake = param.satake
     if not param.is_balanced():
@@ -213,7 +326,9 @@ def rescaled_T(i: int, param, module: SimpleModule) -> Operator:
     a = {}
     for j in satake.I_circ:
         a[j] = cdist.c[j].bar() * param.c[j]
+    # T'_{w,-1} as the inverse of T''_{w^-1,+1}: the double-prime factors,
+    # which the inverse applies, are built now, the prime ones on first use
     word = satake.relative_generator(i)
-    t = lusztig_T_word(word, -1, "prime", module)
-    w = phi_diag(a, module).inverse()
-    return w.conj(t).with_inverse(w.conj(t.inverse()))
+    t = lusztig_T_word(word[::-1], 1, "doubleprime", module).inverse()
+    phi = phi_diag(a, module)
+    return Chain(module, [phi.inverse(), t, phi])

@@ -48,6 +48,17 @@ class Character:
         """q^<h, lam>, the value of K_h."""
         return self.field.q_power(self.satake.datum.pair(h, self.lam))
 
+    def generator_values(self, gens: CoidealGenerators) -> dict:
+        """The value of each named generator of gens on a line of this
+        character: its value at B_i, q^<h, lam> at K_h, and 0 at the black
+        E_j and F_j, which annihilate a spherical vector."""
+        zero = self.field.zero
+        out = {f"B_{i}": v for i, v in sorted(self.b_values.items())}
+        out.update({f"E_{j}": zero for j in sorted(gens.black_E)})
+        out.update({f"F_{j}": zero for j in sorted(gens.black_F)})
+        out.update({f"K_{h}": self.torus_value(h) for h, _ in gens.torus})
+        return out
+
     def value_key(self) -> tuple:
         bs = tuple((i, self.b_values[i]) for i in sorted(self.b_values))
         ts = tuple(sorted(self._torus.items()))

@@ -90,7 +90,9 @@ def nonzero_columns(a: list) -> list:
 
 
 def mat_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """a + b, adding only where both entries are nonzero."""
+    return [[x + y if x and y else x or y for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: list, b: list) -> list:
@@ -98,7 +100,20 @@ def mat_sub(a: list, b: list) -> list:
 
 
 def mat_scale(a: list, s: FieldElem) -> list:
-    return [[x * s for x in row] for row in a]
+    """s a, multiplying only the nonzero entries."""
+    return [[x * s if x else x for x in row] for row in a]
+
+
+def scale_rows(diag: list, a: list) -> list:
+    """D a for the diagonal matrix D with the given diagonal: row r of a
+    times diag[r], nonzero entries only."""
+    return [[d * x if x else x for x in row] for d, row in zip(diag, a)]
+
+
+def scale_columns(a: list, diag: list) -> list:
+    """a D for the diagonal matrix D with the given diagonal: column c of a
+    times diag[c], nonzero entries only."""
+    return [[x * d if x else x for x, d in zip(row, diag)] for row in a]
 
 
 def transpose(a: list) -> list:

@@ -65,9 +65,14 @@ class WeightModule:
         """Dense view of K_h."""
         return linalg.diagonal(self.k_diagonal(h), self.field)
 
+    def k_i_diagonal(self, i: int, power: int = 1) -> list:
+        """The diagonal of K_i^power."""
+        return self.k_diagonal(tuple(power * self.datum.d[i] if k == i else 0
+                                     for k in range(self.datum.n)))
+
     def k_i_matrix(self, i: int, power: int = 1) -> list:
-        h = tuple(power * self.datum.d[i] if k == i else 0 for k in range(self.datum.n))
-        return self.k_matrix(h)
+        """Dense view of K_i^power."""
+        return linalg.diagonal(self.k_i_diagonal(i, power), self.field)
 
     def zero_vector(self) -> "ModuleVector":
         return ModuleVector(self, [self.field.zero] * self.dim)

@@ -215,12 +215,15 @@ class CoidealGenerators:
         for i in satake.I_circ:
             ti = satake.tau[i]
             conj = tww.conj(raising[ti]).mat if tww else raising[ti]
-            kinv = module.k_i_matrix(i, -1)
-            mat = linalg.mat_mul(*((conj, kinv) if e == 1 else (kinv, conj)))
-            mat = linalg.mat_scale(mat, param.c[i])
+            kinv = module.k_i_diagonal(i, -1)
+            # c_i K_i^-1 scales the columns (e = 1) or the rows (e = -1)
+            ckinv = [param.c[i] * k for k in kinv]
+            mat = (linalg.scale_columns(conj, ckinv) if e == 1
+                   else linalg.scale_rows(ckinv, conj))
             mat = linalg.mat_add(lowering[i], mat)
             if param.s[i]:
-                mat = linalg.mat_add(mat, linalg.mat_scale(kinv, param.s[i]))
+                mat = linalg.mat_add(mat, linalg.diagonal(
+                    [param.s[i] * k for k in kinv], module.field))
             out[i] = Operator(module, mat)
         return out
 

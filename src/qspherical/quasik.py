@@ -298,6 +298,7 @@ def quasi_k(i: int, param: Parameter, module: SimpleModule) -> QuasiKOnModule:
         mode = "transported"
     pairs = _rank_one_generators(i, param, module)
     op = _solve_intertwiner(i, satake, pairs, module)
+    op.with_inverse(lambda: _UnipotentInverse(op))
     result = QuasiKOnModule(module, i, op, mode, twist, _residual_zero(op.mat, pairs))
     if not result.residual_ok:
         raise IntertwinerError(f"intertwining residual is nonzero at node {i}")
@@ -311,47 +312,75 @@ def verify_intertwining(qk: QuasiKOnModule, param: Parameter) -> bool:
     return _residual_zero(qk.operator.mat, pairs)
 
 
-def _unipotent_inverse(op: Operator) -> Operator:
-    """Inverse of I + N with N nilpotent: the finite Neumann series of (-N)^k."""
-    module = op.module
-    ident = linalg.identity(module.dim, module.field)
-    neg = linalg.mat_sub(ident, op.mat)
-    total = term = ident
-    for _ in range(module.dim):
-        term = linalg.mat_mul(term, neg)
-        if linalg.is_zero_matrix(term):
-            return Operator(module, total)
-        total = linalg.mat_add(total, term)
-    raise IntertwinerError("the intertwiner is not unipotent")
+class _UnipotentInverse(Operator):
+    """The inverse of an intertwiner U = I + N whose N strictly raises
+    weights, by substitution: the solution X of U X = B has rows
+    X_r = B_r - sum_c N[r][c] X_c, and every such c has a lower weight than
+    r, so the rows are filled in from the lowest weights up (height order
+    of the deficits lam - mu).  A vector is one column; the matrix is the
+    substitution on the identity, formed on first read.
+    """
+
+    __slots__ = ("_rows", "_order")
+
+    def __init__(self, u: Operator):
+        module = u.module
+        super().__init__(module, None)
+        height = [sum(t) for t in module.deficits]
+        one = module.field.one
+        self._rows = []
+        for r, row in enumerate(u.mat):
+            entries = [(c, x - one if c == r else x) for c, x in enumerate(row)]
+            entries = [(c, x) for c, x in entries if x]
+            if any(height[c] <= height[r] for c, _ in entries):
+                raise IntertwinerError(
+                    "the intertwiner is not the identity plus a weight-raising operator")
+            self._rows.append(entries)
+        self._order = sorted(range(module.dim), key=lambda r: -height[r])
+
+    def _dense(self) -> list:
+        return self.times(linalg.identity(self.module.dim, self.module.field))
+
+    def act(self, coeffs: list) -> list:
+        return [x for x, in self.times([[x] for x in coeffs])]
+
+    def times(self, mat: list) -> list:
+        out = [None] * len(mat)
+        for r in self._order:
+            row = list(mat[r])
+            for c, y in self._rows[r]:
+                row = [x - y * z if z else x for x, z in zip(row, out[c])]
+            out[r] = row
+        return out
 
 
 def wz_operator(i: int, param: Parameter, module: SimpleModule) -> Operator:
     """The relative braid operator on a module: intertwiner after rescaling.
 
-    Its inverse comes with it, from the factors' own inverses: the
-    intertwiner is unipotent and the rescaled braid operator carries its own.
+    It is the chain U T of the intertwiner and the rescaled braid operator,
+    and its inverse the chain T^-1 U^-1 of their structural inverses: U^-1
+    by substitution in height order, T^-1 along the reversed word.  Neither
+    forms a dense matrix until `mat` is read.
     """
     key = ("relative braid", i, param.key())
     if key not in module.cache:
-        u = quasi_k(i, param, module).operator
-        u.with_inverse(_unipotent_inverse(u))
-        t = rescaled_T(i, param, module)
-        module.cache[key] = (u @ t).with_inverse(t.inverse() @ u.inverse())
+        module.cache[key] = (quasi_k(i, param, module).operator
+                             @ rescaled_T(i, param, module))
     return module.cache[key]
 
 
 def wz_character_check(line: SphericalLine, i: int, param: Parameter,
                        gens: CoidealGenerators | None = None):
     """Does the inverse relative operator carry the line to a line of the same
-    character?  Returns (bool, certificate)."""
+    character?  The image's generator values are compared with the line's
+    own character.  Returns (bool, certificate)."""
     module = line.module
     gens = gens or coideal_generators(param, module)
     w = wz_operator(i, param, module).inverse().apply(line.vector)
-    values = line_character_values(SphericalLine(module, w, line.character), gens)
+    values = line_character_values(w, gens)
     if values is None:
         return False, {"reason": "image is not a joint eigenvector", "node": i}
-    expected = line_character_values(line, gens)
-    for name, val in expected.items():
+    for name, val in line.character.generator_values(gens).items():
         if values[name] != val:
             return False, {"reason": "character value changed", "node": i,
                            "generator": name, "before": str(val),

@@ -355,3 +355,49 @@ def test_word_builds_one_operator_per_letter(modules, monkeypatch):
     assert sorted(calls) == [0, 1]
     t0, t1 = single(0, 1, "prime", m), single(1, 1, "prime", m)
     assert word == t0 @ t1 @ t0
+
+
+def _assert_chain_matches(op, dense, v):
+    inverse = la.invert(dense)
+    assert op.apply(v).coeffs == la.mat_vec(dense, v.coeffs)
+    assert op.inverse().apply(v).coeffs == la.mat_vec(inverse, v.coeffs)
+    assert op.mat == dense
+    assert op.inverse().mat == inverse
+
+
+@pytest.mark.parametrize("root_order", (1, 4))
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: p.stem)
+def test_chains_match_dense_products(path, root_order):
+    """A composite along the longest word and each rescaled operator act
+    factor by factor, and their inverses by the reversed chains; both, and
+    the matrices formed on first read, against plain products of the
+    rank-one matrices and the twist, and elimination for the inverse."""
+    from functools import reduce
+    from qspherical.modules import ModuleVector, build_simple
+    from qspherical.qsp import Parameter, distinguished_parameter
+    from qspherical.rootdata import satake_from_config
+    from qspherical.scalars import UnrepresentableScalar
+    field = Field(root_order)
+    satake = satake_from_config(json.loads(path.read_text()))
+    datum = satake.datum
+    m = build_simple(datum, CONFIG_WEIGHTS[path.stem][-1], field)
+    v = ModuleVector(m, [field.q ** k + field.one for k in range(m.dim)])
+    word = datum.w0_word()
+    for e in (1, -1):
+        for kind in ("prime", "doubleprime"):
+            dense = reduce(la.mat_mul, [lusztig_T(j, e, kind, m).mat for j in word])
+            _assert_chain_matches(lusztig_T_word(word, e, kind, m), dense, v)
+    try:
+        par = cdist = distinguished_parameter(satake, field)
+    except UnrepresentableScalar:     # aiii_sl3's is -q^(-1/2)
+        par = Parameter(satake, {i: field.q for i in satake.I_circ})
+    for i in satake.relative_orbit_representatives():
+        try:
+            resc = rescaled_T(i, par, m)
+        except UnrepresentableScalar:
+            assert root_order == 1    # the twists need square roots of q
+            continue
+        phi = phi_diag({j: cdist.c[j].bar() * par.c[j] for j in satake.I_circ}, m).mat
+        t = reduce(la.mat_mul, [lusztig_T(j, -1, "prime", m).mat
+                                for j in satake.relative_generator(i)])
+        _assert_chain_matches(resc, reduce(la.mat_mul, [la.invert(phi), t, phi]), v)

@@ -11,7 +11,7 @@ from qspherical.modules import act_matrix, build_simple
 from qspherical.qsp import (Parameter, ParameterError, coideal_generators,
                             distinguished_parameter)
 from qspherical.quasik import (IntertwinerError, _uniform_normal_form,
-                               _unipotent_inverse, quasi_k, verify_intertwining,
+                               _UnipotentInverse, quasi_k, verify_intertwining,
                                wz_character_check, wz_operator, wz_precompose)
 from qspherical.rootdata import satake_from_config
 from qspherical.scalars import UnrepresentableScalar
@@ -208,7 +208,7 @@ CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.json
 def _assert_structural_inverses(m, par):
     for i in par.satake.relative_orbit_representatives():
         u = quasi_k(i, par, m).operator
-        assert la.mat_eq(_unipotent_inverse(u).mat, la.invert(u.mat))
+        assert la.mat_eq(_UnipotentInverse(u).mat, la.invert(u.mat))
         w = wz_operator(i, par, m)
         assert la.mat_eq(w.inverse().mat, la.invert(w.mat))
 
@@ -260,7 +260,7 @@ def test_one_system_matches_reference_transport(path):
 def test_unipotent_inverse_rejects_non_unipotent(modules):
     m = modules("A", 1, (1,))
     with pytest.raises(IntertwinerError):
-        _unipotent_inverse(Operator(m, la.mat_scale(la.identity(m.dim, F),
+        _UnipotentInverse(Operator(m, la.mat_scale(la.identity(m.dim, F),
                                                     F.rational(2))))
 
 
@@ -435,3 +435,127 @@ def test_module_caches_tell_satake_data_apart():
     assert second.operator.mat == quasi_k(0, ai, fresh).operator.mat
     assert second.operator.mat != first.operator.mat
     assert wz_operator(0, ai, m).mat == wz_operator(0, ai, fresh).mat
+
+
+# -- the relative braid operator as a chain of factors --
+
+def _dense_relative_braid(i, par, m):
+    """U phi^-1 T'_{w,-1} phi by plain products of the factors' matrices."""
+    from functools import reduce
+    from qspherical.braid import lusztig_T
+    satake = par.satake
+    cdist = distinguished_parameter(satake, m.field)
+    phi = phi_diag({j: cdist.c[j].bar() * par.c[j] for j in satake.I_circ}, m).mat
+    t = reduce(la.mat_mul, [lusztig_T(j, -1, "prime", m).mat
+                            for j in satake.relative_generator(i)])
+    return reduce(la.mat_mul, [quasi_k(i, par, m).operator.mat, la.invert(phi), t, phi])
+
+
+@pytest.mark.parametrize("root_order", [1, 4])
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_relative_braid_chain_matches_dense_products(path, root_order):
+    # W acts on a vector factor by factor and W^-1 by the reversed chain of
+    # structural inverses; both, and the matrices formed on first read,
+    # against plain products and elimination
+    from qspherical.modules import ModuleVector
+    field = Field(root_order)
+    satake = satake_from_config(json.loads(path.read_text()))
+    try:
+        par = distinguished_parameter(satake, field)
+    except UnrepresentableScalar:     # aiii_sl3's is -q^(-1/2)
+        par = Parameter(satake, {i: field.q for i in satake.I_circ})
+    m = build_simple(satake.datum, SWEEP_WEIGHTS[path.stem][-1], field)
+    v = ModuleVector(m, [field.q ** k + field.one for k in range(m.dim)])
+    relative = 0
+    for i in satake.relative_orbit_representatives():
+        try:
+            w = wz_operator(i, par, m)
+        except UnrepresentableScalar:
+            assert root_order == 1    # the twists need square roots of q
+            continue
+        dense = _dense_relative_braid(i, par, m)
+        inverse = la.invert(dense)
+        assert w.apply(v).coeffs == la.mat_vec(dense, v.coeffs)
+        assert w.inverse().apply(v).coeffs == la.mat_vec(inverse, v.coeffs)
+        assert w.mat == dense
+        assert w.inverse().mat == inverse
+        relative += 1
+    assert relative or root_order == 1
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_height_order_substitution_matches_elimination(path):
+    # U^-1 on a vector, on a matrix and as a matrix, for every white node
+    from qspherical.modules import ModuleVector
+    satake = satake_from_config(json.loads(path.read_text()))
+    for lam in SWEEP_WEIGHTS[path.stem]:
+        m = build_simple(satake.datum, lam, F)
+        v = ModuleVector(m, [F.q ** k - F.one for k in range(m.dim)])
+        for par in _sweep_parameters(path.stem, satake, F):
+            for i in sorted(satake.I_circ):
+                u = quasi_k(i, par, m).operator
+                inverse = la.invert(u.mat)
+                sub = _UnipotentInverse(u)
+                assert sub.apply(v).coeffs == la.mat_vec(inverse, v.coeffs)
+                assert sub.times(m.f_mats[0]) == la.mat_mul(inverse, m.f_mats[0])
+                assert sub.mat == inverse
+
+
+def test_substitution_needs_a_weight_raising_part(modules):
+    # I + F_0 is unipotent, but F_0 lowers weights: no height order solves it
+    m = modules("A", 1, (2,))
+    with pytest.raises(IntertwinerError, match="weight-raising"):
+        _UnipotentInverse(Operator(m, la.mat_add(la.identity(m.dim, F),
+                                                 m.f_mats[0])))
+
+
+def test_character_check_builds_no_prime_factor_and_no_dense_product(
+        aiii_sl3, params, monkeypatch):
+    # on a fresh module, after the lines and the intertwiners (which the
+    # CLI's quasik check solves first) and the divided powers (the rank-one
+    # factors' own dense products): W^-1 v needs only the double-prime
+    # factors and matrix-vector products
+    import qspherical.braid as braid
+    from qspherical import root_datum
+    from qspherical.modules import _divided_powers
+    par = params["aiii_sl3_uniform"]
+    m = build_simple(root_datum("A", 2), (2, 1), F)
+    gens = coideal_generators(par, m)
+    lines = find_spherical_lines(m, gens, par)
+    nodes = aiii_sl3.relative_orbit_representatives()
+    for i in nodes:
+        quasi_k(i, par, m)
+    for j in range(m.datum.n):
+        for name in "EF":
+            _divided_powers(m, name, j)
+    kinds, shapes = [], []
+    single, product = braid.lusztig_T, la.mat_mul
+    monkeypatch.setattr(braid, "lusztig_T", lambda i, e, kind, module:
+                        kinds.append(kind) or single(i, e, kind, module))
+    monkeypatch.setattr(la, "mat_mul", lambda a, b:
+                        shapes.append((len(a), len(b))) or product(a, b))
+    for line in lines:
+        for i in nodes:
+            ok, cert = wz_character_check(line, i, par, gens)
+            assert ok, cert
+    assert lines and set(kinds) == {"doubleprime"}
+    assert (m.dim, m.dim) not in shapes
+
+
+def test_character_check_reads_the_lines_own_character(modules, ai1, params):
+    # a line whose stored B value is not its vector's fails, with the value
+    # of the character and the value of the image in its certificate
+    from qspherical.characters import Character, SphericalLine
+    m = modules("A", 1, (4,))
+    par = params["ai1_dist"]
+    gens = coideal_generators(par, m)
+    line = find_spherical_lines(m, gens, par)[0]
+    chi = line.character
+    shifted = chi.b_values[0] + F.one
+    wrong = Character(chi.satake, chi.lam, {0: shifted}, chi.labels, chi.field)
+    ok, cert = wz_character_check(SphericalLine(m, line.vector, wrong), 0, par, gens)
+    assert not ok
+    assert cert == {"reason": "character value changed", "node": 0,
+                    "generator": "B_0", "before": str(shifted),
+                    "after": str(chi.b_values[0])}
+    assert wz_character_check(line, 0, par, gens) == (True, None)
