@@ -242,10 +242,10 @@ def _rank_one(i: int, e: int, kind: str, module: WeightModule) -> list:
                 a = target + b - c
                 if a < 0 or a >= len(outer):
                     continue
-                second = _apply_columns(inner[b], first)
+                second = linalg.apply_columns(inner[b], first)
                 if not second:
                     continue
-                third = _apply_columns(outer[a], second)
+                third = linalg.apply_columns(outer[a], second)
                 if not third:
                     continue
                 scal = field.q_power(Fraction(e * (b - a * c) * datum.d[i]))
@@ -254,16 +254,6 @@ def _rank_one(i: int, e: int, kind: str, module: WeightModule) -> list:
                 for r, x in third.items():
                     out[r][col] = out[r][col] + scal * x
     return out
-
-
-def _apply_columns(cols: list, vec: dict) -> dict:
-    """The product of a matrix, given by its nonzero columns, with a sparse
-    vector {index: value}; only the nonzero entries are kept."""
-    out = {}
-    for k, y in vec.items():
-        for r, x in cols[k]:
-            out[r] = out[r] + x * y if r in out else x * y
-    return {r: x for r, x in out.items() if x}
 
 
 def lusztig_T_word(word, e: int, kind: str, module: WeightModule) -> Operator:

@@ -7,10 +7,10 @@ Exit codes: 0 all enabled checks pass, 1 a check failed, 2 bad input,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+import typing
 
 from .characters import (MultiplicityViolation, NoDualLine, akin_character,
                          dual_spherical_vector, find_dual_spherical,
@@ -55,8 +55,7 @@ TABLE1_EXPECTED = {
 }
 
 
-@dataclasses.dataclass
-class JobSpec:
+class JobSpec(typing.NamedTuple):
     config: str | None = None
     parameters: list | None = None       # (node as 1-based str, literal) pairs
     s_parameters: list | None = None

@@ -1,7 +1,10 @@
 """Exact dense linear algebra over the coefficient field.
 
 Matrices are lists of lists of FieldElem.  Pivoting is always by input order
-(first nonzero), never by magnitude, so every result is deterministic.
+(first nonzero), never by magnitude, so every result is deterministic.  A
+sparse matrix is given by its nonzero columns (`nonzero_columns`), and
+`apply_columns`, its product with a sparse vector, is the one sparse
+product: the braid triple sum and the quasi-K raising words use it.
 
 There is one elimination kernel, `_echelonize`.  Each row is first cleared
 of denominators to polynomials over Z[v], or over the Gaussian integers
@@ -18,7 +21,9 @@ dual lines on their torus supports), a Gram block's pivot columns, the
 quasi-K raising words (one degree at a time) and each degree block of the
 intertwiner, `solve` and `invert` all come from it: column j of the answer
 to A X = B is the relation of column n + j of [A | -B].  A modular
-evaluation screen first certifies full rank; it never decides equality.  Over Q, `integer_kernel_basis` is the one kernel.
+evaluation screen (i sent to a square root of -1 mod p) first certifies
+full rank; it never decides equality.  Over Q, `integer_kernel_basis` is
+the one kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +31,11 @@ from __future__ import annotations
 import math
 
 from .scalars import Field, FieldElem
-from .scalars import _SCREEN_PRIME, _SCREEN_ROOT, _Z, _ZI, _pairs, _val
+from .scalars import _SCREEN_PRIME, _Z, _ZI, _pairs, _val
+
+# p = 1 mod 4 and 11 is not a square mod p, so 11^((p-1)/4) is a square root
+# of -1 and i -> _SCREEN_ROOT is a ring map Z[i] -> GF(p)
+_SCREEN_ROOT = pow(11, (_SCREEN_PRIME - 1) // 4, _SCREEN_PRIME)
 
 
 def zeros(rows: int, cols: int, field: Field) -> list:
@@ -87,6 +96,16 @@ def nonzero_columns(a: list) -> list:
             if x:
                 out[c].append((r, x))
     return out
+
+
+def apply_columns(cols: list, vec: dict) -> dict:
+    """The product of a matrix, given by its nonzero columns, with a sparse
+    vector {index: value}; only the nonzero entries are kept."""
+    out = {}
+    for k, y in vec.items():
+        for r, x in cols[k]:
+            out[r] = out[r] + x * y if r in out else x * y
+    return {r: x for r, x in out.items() if x}
 
 
 def mat_add(a: list, b: list) -> list:

@@ -187,11 +187,16 @@ class CoidealGenerators:
         self.param = param
         self.module = module
         satake = param.satake
-        self.B = self._white(1)
         self.black_E = {j: Operator(module, module.e_mats[j]) for j in satake.black}
         self.black_F = {j: Operator(module, module.f_mats[j]) for j in satake.black}
         self.torus = [(h, Operator(module, module.k_matrix(h)))
                       for h in satake.theta_fixed_torus_generators()]
+
+    @functools.cached_property
+    def B(self) -> dict:
+        """B_i = F_i + c_i T''_{w_black,1}(E_tau(i)) K_i^-1 + s_i K_i^-1,
+        built on first read: the dual lines read only rho(B_i)."""
+        return self._white(1)
 
     @functools.cached_property
     def rho_B(self) -> dict:

@@ -102,53 +102,48 @@ def _rank_one_generators(i: int, param: Parameter, module: SimpleModule,
     return [(left, linalg.bar_matrix(g)) for left, g in mats]
 
 
-def _raising_word_matrices(module, alphabet) -> list:
-    """Linearly independent matrices of nonconstant raising words over the
-    subdiagram alphabet, each with its degree, by breadth-first products of
-    the raising generators.
+def _raising_words(module, alphabet) -> list:
+    """Linearly independent nonconstant raising words over the subdiagram
+    alphabet, each with its degree, by breadth-first products of the raising
+    generators.  A word is held as its nonzero columns {column: {row: value}}.
 
     A word's degree is the sum of its letters' simple roots, as a weight, and
     the word raises weights by it; so words of different degrees occupy
     disjoint entries, and the words longer than the module's height span are
     zero.  At each length the nonzero products of the previous length's
     words with each letter are kept, in order, unless they depend on the
-    ones of the same degree before them.
+    ones of the same degree before them, tested on the entries they touch.
     """
     field = module.field
+    zero = field.zero
     datum = module.datum
-    # closing over independent representatives only is complete: products of
-    # dependent words stay inside the span of products of independent ones
-    frontier = [((0,) * datum.n, linalg.identity(module.dim, field))]
+    letters = [(linalg.nonzero_columns(module.e_mats[j]), datum.alpha_in_X(j))
+               for j in alphabet]
+    # the words of length one are the letters themselves
+    cands = [(step, {c: dict(col) for c, col in enumerate(cols) if col})
+             for cols, step in letters]
     independent = []
-    while frontier:
-        cands = []
-        for deg, mat in frontier:
-            for j in alphabet:
-                prod = linalg.mat_mul(module.e_mats[j], mat)
-                if not linalg.is_zero_matrix(prod):
-                    cands.append((tuple(a + b for a, b in
-                                        zip(deg, datum.alpha_in_X(j))), prod))
+    while cands:
+        cands = [(deg, w) for deg, w in cands if w]
         dependent = set()
         for deg in dict.fromkeys(deg for deg, _ in cands):
             ix = [t for t, (d, _) in enumerate(cands) if d == deg]
-            # one column per candidate, one row per entry of the degree
-            vectorized = [[cands[t][1][r][c] for t in ix]
-                          for r, c in _entries_of_degree(module, deg)]
+            # one column per candidate, one row per entry some candidate touches
+            touched = dict.fromkeys((r, c) for t in ix
+                                    for c, col in cands[t][1].items() for r in col)
+            vectorized = [[cands[t][1].get(c, {}).get(r, zero) for t in ix]
+                          for r, c in touched]
             relations = linalg.column_relations(vectorized, len(ix), field)
             dependent.update(ix[a] for a in relations)
-        frontier = [w for t, w in enumerate(cands) if t not in dependent]
+        frontier = [cand for t, cand in enumerate(cands) if t not in dependent]
         independent.extend(frontier)
+        # closing over independent representatives only is complete: products
+        # of dependent words stay inside the span of products of independent ones
+        cands = [(tuple(a + b for a, b in zip(deg, step)),
+                  {c: col for c, v in w.items()
+                   if (col := linalg.apply_columns(cols, v))})
+                 for deg, w in frontier for cols, step in letters]
     return independent
-
-
-def _entries_of_degree(module, deg) -> list:
-    """The entries (r, c) where an operator raising weights by deg can be
-    nonzero: weight r = weight c + deg."""
-    out = []
-    for mu, cols in module.blocks.items():
-        rows = module.blocks.get(tuple(a + b for a, b in zip(mu, deg)), ())
-        out.extend((r, c) for r in rows for c in cols)
-    return out
 
 
 def _solve_intertwiner(i: int, satake, pairs: list,
@@ -174,17 +169,15 @@ def _solve_intertwiner(i: int, satake, pairs: list,
     datum = satake.datum
     alphabet = sorted(set(satake.black) | {i, satake.tau[i]})
     torus = _subdiagram_torus(i, satake)
-    words = [(deg, w) for deg, w in _raising_word_matrices(module, alphabet)
+    words = [(deg, w) for deg, w in _raising_words(module, alphabet)
              if not any(datum.pair(h, deg) for h in torus)]
     degrees = list(dict.fromkeys(deg for deg, _ in words))
     block = [degrees.index(deg) for deg, _ in words]
-    entries = [[(r, c, w[r][c]) for r, c in _entries_of_degree(module, deg)
-                if w[r][c]] for deg, w in words]
     inconsistent = IntertwinerError(
         f"intertwiner system is inconsistent at node {i}; "
         "the rank-one restriction is not uniform")
     by_block = [[] for _ in degrees]
-    for row in _system_rows(pairs, entries):
+    for row in _system_rows(pairs, [w for _, w in words]):
         touched = [block[t] for t, y in row.items() if t is not None and y]
         if touched:
             by_block[max(touched)].append(row)
@@ -209,31 +202,33 @@ def _solve_intertwiner(i: int, satake, pairs: list,
         for t, y in zip(cols, sol):
             x[t] = y
     mat = linalg.identity(module.dim, field)
-    for coeff, ent in zip(x, entries):
+    for coeff, (_, w) in zip(x, words):
         if coeff:
-            for r, c, y in ent:
-                mat[r][c] = mat[r][c] + coeff * y
+            for c, col in w.items():
+                for r, y in col.items():
+                    mat[r][c] = mat[r][c] + coeff * y
     return Operator(module, mat)
 
 
-def _system_rows(pairs: list, entries: list) -> list:
+def _system_rows(pairs: list, words: list) -> list:
     """The rows of left U = U right over every pair, one per entry (r, c) of
     the pair: word index t -> the entry of left W_t - W_t right, and None ->
     the entry of left - right.  The words are given by their nonzero
-    entries (r, c, value), and the products run over nonzero entries only.
+    columns {c: {r: value}}, and the products run over nonzero entries only.
     """
     rows = {}    # (pair, r, c) -> row
     for p, (left, right) in enumerate(pairs):
         left_cols = linalg.nonzero_columns(left)
         right_rows = linalg.nonzero_columns(linalg.transpose(right))
-        for t, ent in enumerate(entries):
-            for r, c, w in ent:
-                for r2, y in left_cols[r]:
-                    row = rows.setdefault((p, r2, c), {})
-                    row[t] = row[t] + y * w if t in row else y * w
-                for c2, y in right_rows[c]:
-                    row = rows.setdefault((p, r, c2), {})
-                    row[t] = row[t] - w * y if t in row else -(w * y)
+        for t, word in enumerate(words):
+            for c, col in word.items():
+                for r, w in col.items():
+                    for r2, y in left_cols[r]:
+                        row = rows.setdefault((p, r2, c), {})
+                        row[t] = row[t] + y * w if t in row else y * w
+                    for c2, y in right_rows[c]:
+                        row = rows.setdefault((p, r, c2), {})
+                        row[t] = row[t] - w * y if t in row else -(w * y)
         for r, (lrow, rrow) in enumerate(zip(left, right)):
             for c, (a, b) in enumerate(zip(lrow, rrow)):
                 if a != b:

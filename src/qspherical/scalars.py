@@ -8,15 +8,17 @@ joint content one (a unit over Z[i]) and lc(den) positive (over Z[i], in the
 quadrant re > 0, im >= 0), so equality is plain structural comparison.  The
 bar involution maps v to 1/v and fixes i.
 
-A fraction is reduced by the heuristic GCD; the common factor it proposes is
-accepted only if it divides both exactly and the cofactors are certified
-coprime modulo a prime p = 1 (mod 4).  The certificate only ever confirms;
+A fraction over Z is reduced by the heuristic GCD; the common factor it
+proposes is accepted only if it divides both exactly and the cofactors are
+certified coprime modulo a prime p.  The certificate only ever confirms;
 when the heuristic gives up or a check fails, a primitive PRS gcd reduces
-the fraction instead.  All of these run on the deflated polynomials: with
-num = v^a F(v^k) and den = v^b G(v^k), k the gcd of the exponents, the gcd
-is taken of F and G and the cofactors are inflated back.  Quantum integers
-and q-powers make most entries polynomials in q^2, so at the default root
-order the gcd inputs shrink to about a quarter.
+the fraction instead.  A fraction over Z[i] is reduced by the primitive PRS
+alone: values on an axis reduce over Z (below), so a Gaussian gcd is rare.
+All of these run on the deflated polynomials: with num = v^a F(v^k) and
+den = v^b G(v^k), k the gcd of the exponents, the gcd is taken of F and G
+and the cofactors are inflated back.  Quantum integers and q-powers make
+most entries polynomials in q^2, so at the default root order the gcd
+inputs shrink to about a quarter.
 
 A value on an axis, i^k N/D with N and D real and k = 0 or 1, runs in
 integer arithmetic as well: it is stored in int form (k = 0) or with a real
@@ -49,7 +51,6 @@ import math
 import operator
 import re
 from fractions import Fraction
-from itertools import zip_longest
 from types import SimpleNamespace
 
 
@@ -214,12 +215,10 @@ def _scale(p: tuple, c, ring) -> tuple:
 # both polynomials at an integer xi, takes one gcd of the two values and
 # reads a candidate common factor off the symmetric base-xi digits of that
 # gcd.  The candidate is accepted only if it divides both exactly and the
-# two cofactors are certified coprime modulo the screen prime.
+# two cofactors are certified coprime modulo the screen prime.  Both run
+# over Z only.
 
 _SCREEN_PRIME = 1000000009
-# p = 1 mod 4 and 11 is not a square mod p, so 11^((p-1)/4) is a square root
-# of -1 and i -> _SCREEN_ROOT is a ring map Z[i] -> GF(p)
-_SCREEN_ROOT = pow(11, (_SCREEN_PRIME - 1) // 4, _SCREEN_PRIME)
 
 _HEU_TRIES = 6
 
@@ -261,13 +260,6 @@ def _z_divide(f: tuple, h: tuple) -> tuple | None:
     return None if any(rem[:dh]) else tuple(quo)
 
 
-def _zi_eval(f: tuple, x: int) -> tuple:
-    re = im = 0
-    for a, b in reversed(f):
-        re, im = re * x + a, im * x + b
-    return re, im
-
-
 def _zi_gcd(a: tuple, b: tuple) -> tuple:
     """A gcd in Z[i] by Euclid with rounded quotients."""
     while b != (0, 0):
@@ -286,10 +278,6 @@ def _zi_quo(a: tuple, b: tuple) -> tuple | None:
     qr, rr = divmod(ar * br + ai * bi, n)
     qi, ri = divmod(ai * br - ar * bi, n)
     return None if rr or ri else (qr, qi)
-
-
-def _zi_digits(h: tuple, x: int) -> list:
-    return list(zip_longest(_z_digits(h[0], x), _z_digits(h[1], x), fillvalue=0))
 
 
 def _zi_content(p) -> tuple:
@@ -324,16 +312,14 @@ def _zi_divide(f: tuple, h: tuple) -> tuple | None:
 
 # The coefficient rings: constants, coefficient operations (content, exact
 # quotient, product, the unit that normalizes a leading coefficient) and the
-# polynomial operations the heuristic and the arithmetic need.
+# polynomial operations the PRS gcd and the arithmetic need.
 _Z = SimpleNamespace(
-    zero=0, one=1, norm=lambda f: max(map(abs, f)), eval=_z_eval, gcd=math.gcd,
-    content=lambda p: math.gcd(*p), quo=operator.floordiv, times=operator.mul,
-    unit=lambda c: 1 if c > 0 else -1, digits=_z_digits, divide=_z_divide,
-    pmul=_z_mul, padd=_z_add, pneg=lambda a: tuple(-x for x in a))
+    zero=0, one=1, gcd=math.gcd, content=lambda p: math.gcd(*p),
+    quo=operator.floordiv, times=operator.mul, unit=lambda c: 1 if c > 0 else -1,
+    divide=_z_divide, pmul=_z_mul, padd=_z_add, pneg=lambda a: tuple(-x for x in a))
 _ZI = SimpleNamespace(
-    zero=(0, 0), one=(1, 0), norm=lambda f: max(max(abs(re), abs(im)) for re, im in f),
-    eval=_zi_eval, gcd=_zi_gcd, content=_zi_content, quo=_zi_quo, times=_zi_times,
-    unit=_zi_unit, digits=_zi_digits, divide=_zi_divide,
+    zero=(0, 0), one=(1, 0), gcd=_zi_gcd, content=_zi_content, quo=_zi_quo,
+    times=_zi_times, unit=_zi_unit, divide=_zi_divide,
     pmul=_zi_mul, padd=_zi_add, pneg=lambda a: tuple((-x, -y) for x, y in a))
 
 
@@ -343,19 +329,20 @@ def _primitive(p: tuple, ring) -> tuple:
     return (c, p) if c == ring.one else (c, tuple(ring.quo(x, c) for x in p))
 
 
-def _heu_cofactors(f: tuple, g: tuple, ring) -> tuple | None:
-    """(f/h, g/h) for a common factor h of f and g that the heuristic finds
-    and that divides both exactly, or None if it gives up."""
+def _heu_cofactors(f: tuple, g: tuple) -> tuple | None:
+    """(f/h, g/h) for a common factor h of two Z polynomials f and g that
+    the heuristic finds and that divides both exactly, or None if it gives
+    up."""
     # xi >= 2 min(|f|, |g|) + 2 makes an exact common divisor the gcd
-    xi = 2 * min(ring.norm(f), ring.norm(g)) + 29
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     for _ in range(_HEU_TRIES):
-        ff, gg = ring.eval(f, xi), ring.eval(g, xi)
-        if ff != ring.zero and gg != ring.zero:
-            h = _primitive(ring.digits(ring.gcd(ff, gg), xi), ring)[1]
+        ff, gg = _z_eval(f, xi), _z_eval(g, xi)
+        if ff and gg:
+            h = _primitive(_z_digits(math.gcd(ff, gg), xi), _Z)[1]
             if len(h) == 1:
                 return f, g
-            a = ring.divide(f, h)
-            b = ring.divide(g, h) if a is not None else None
+            a = _z_divide(f, h)
+            b = _z_divide(g, h) if a is not None else None
             if b is not None:
                 return a, b
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
@@ -376,18 +363,16 @@ def _rem_mod_p(a: list, b: list, p: int) -> list:
     return a
 
 
-def _coprime_mod_p(a: tuple, b: tuple, gaussian: bool) -> bool:
-    """Certify that a and b share no factor of positive degree over Q(i).
+def _coprime_mod_p(a: tuple, b: tuple) -> bool:
+    """Certify that two Z polynomials a and b share no factor of positive
+    degree over Q.
 
-    Under i -> _SCREEN_ROOT mod p, a common factor over Z[i] keeps its degree
-    whenever neither leading coefficient vanishes, so a constant gcd of the
-    images certifies coprimality.  False means only that nothing was
-    certified."""
+    Mod p, a common factor over Z keeps its degree whenever neither leading
+    coefficient vanishes, so a constant gcd of the images certifies
+    coprimality.  False means only that nothing was certified."""
     if len(a) == 1 or len(b) == 1:
         return True
-    p, s = _SCREEN_PRIME, _SCREEN_ROOT
-    if gaussian:
-        a, b = ([re + s * im for re, im in x] for x in (a, b))
+    p = _SCREEN_PRIME
     a, b = [c % p for c in a], [c % p for c in b]
     if not a[-1] or not b[-1]:
         return False
@@ -400,7 +385,7 @@ def _prs_gcd(f: tuple, g: tuple, ring) -> tuple:
     """A gcd of two nonzero polynomials by the primitive PRS: pseudo-
     remainders made primitive at every step (sympy's dup_rr_prs_gcd, with
     primitive remainders in place of subresultants).  The exact fallback of
-    the heuristic."""
+    the heuristic, and the one gcd over Z[i]."""
     if len(f) < len(g):
         f, g = g, f
     while g:
@@ -426,15 +411,16 @@ def _cancel(f: tuple, g: tuple, ring) -> tuple:
     Every gcd runs on the deflations: f = v^a F(v^k) and g = v^b G(v^k)
     with k the gcd of the exponents, and gcd(f, g) = gcd(F, G)(v^k) since
     v divides at most one of them.  Substituting v^k into a Bezout identity
-    carries the certificate over from F/h and G/h."""
+    carries the certificate over from F/h and G/h.  The heuristic runs over
+    Z only; a Z[i] pair goes straight to the PRS gcd."""
     zero = ring.zero
     a, b = _val(f, zero), _val(g, zero)
     f, g = f[a:], g[b:]
     k = math.gcd(*[e for p in (f, g) for e, c in enumerate(p) if c != zero])
     if k > 1:
         f, g = f[::k], g[::k]
-    cofactors = _heu_cofactors(f, g, ring)
-    if cofactors is None or not _coprime_mod_p(*cofactors, ring is _ZI):
+    cofactors = _heu_cofactors(f, g) if ring is _Z else None
+    if cofactors is None or not _coprime_mod_p(*cofactors):
         h = _prs_gcd(f, g, ring)
         cofactors = ring.divide(f, h), ring.divide(g, h)
     f, g = cofactors

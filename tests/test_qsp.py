@@ -211,11 +211,15 @@ def test_generators_are_built_once_per_module_and_parameter(aii3, params,
     m = build_simple(aii3.datum, (0, 1, 0), F)
     par = params["aii3"]
     gens = coideal_generators(par, m)
+    # B_i is built on first read, with one braid word
+    assert words == []
+    gens.B
     assert words == [aii3.w_black]
     # an equal parameter is the same key: the cached object, no braid word
     again = Parameter(aii3, {1: F.q})
     assert coideal_generators(again, m) is gens
     assert coideal_generators(par, m) is gens
+    gens.B
     assert len(words) == 1
     # another Satake datum with the same c values is another key
     from qspherical import SatakeDatum

@@ -268,8 +268,8 @@ def test_duplicated_raising_word_is_underdetermined(modules, ai1, params,
                                                     monkeypatch):
     from qspherical import quasik
     from qspherical.quasik import _rank_one_generators, _solve_intertwiner
-    words = quasik._raising_word_matrices
-    monkeypatch.setattr(quasik, "_raising_word_matrices",
+    words = quasik._raising_words
+    monkeypatch.setattr(quasik, "_raising_words",
                         lambda module, alphabet: 2 * words(module, alphabet))
     m = modules("A", 1, (2,))
     par = params["ai1_uniform"]
@@ -366,6 +366,60 @@ def test_degree_blocks_match_the_whole_system(path):
                 got = _solve_intertwiner(i, satake, pairs, m)
                 assert got.mat == _reference_solve(i, satake, pairs, m)
                 assert got == quasi_k(i, par, m).operator
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_sparse_raising_words_match_the_dense_reference(path):
+    # the same kept words, in the same order, entry by entry; each word
+    # raises weights by its degree
+    from qspherical.quasik import _raising_words
+    satake = satake_from_config(json.loads(path.read_text()))
+    for lam in SWEEP_WEIGHTS[path.stem]:
+        m = build_simple(satake.datum, lam, F)
+        for i in sorted(satake.I_circ):
+            alphabet = sorted(set(satake.black) | {i, satake.tau[i]})
+            words = _raising_words(m, alphabet)
+            dense = []
+            for deg, w in words:
+                mat = la.zeros(m.dim, m.dim, F)
+                for c, col in w.items():
+                    for r, y in col.items():
+                        assert y
+                        assert m.weights[r] == tuple(a + b for a, b in
+                                                     zip(m.weights[c], deg))
+                        mat[r][c] = y
+                dense.append(mat)
+            assert dense == _reference_raising_words(m, alphabet)
+
+
+def test_quasi_k_makes_no_dense_word_product(aiii3_sl4, params, monkeypatch):
+    # on a fresh module, with the coideal generators of both sides built:
+    # the words and the system run on nonzero columns, and the only dense
+    # products are those of the residual check
+    from qspherical import quasik
+    m = build_simple(aiii3_sl4.datum, (1, 0, 1), F)
+    par = params["aiii3_sl4"]
+    nodes = sorted(aiii3_sl4.I_circ)
+    for i in nodes:
+        coideal_generators(par, m).B
+        coideal_generators(quasik._uniform_image(i, par), m).B
+    shapes, residual = [], []
+    product, check = la.mat_mul, quasik._residual_zero
+
+    def checked(u, pairs):
+        residual.append(True)
+        try:
+            return check(u, pairs)
+        finally:
+            residual.clear()
+
+    monkeypatch.setattr(la, "mat_mul", lambda a, b: shapes.append(
+        (len(a), len(b), len(b[0]), bool(residual))) or product(a, b))
+    monkeypatch.setattr(quasik, "_residual_zero", checked)
+    for i in nodes:
+        assert quasi_k(i, par, m).residual_ok
+    assert (m.dim, m.dim, m.dim, True) in shapes
+    assert (m.dim, m.dim, m.dim, False) not in shapes
 
 
 def test_degree_blocks_keep_the_inconsistent_verdict(modules, ai1, aiii_sl3,

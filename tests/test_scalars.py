@@ -430,7 +430,7 @@ def test_failed_certificate_falls_back_to_prs(pair):
     expected = FieldElem(F, *pair)
     with pytest.MonkeyPatch.context() as mp:
         calls = _fallback_calls(mp)
-        mp.setattr(scalars, "_coprime_mod_p", lambda a, b, gaussian: False)
+        mp.setattr(scalars, "_coprime_mod_p", lambda a, b: False)
         x = FieldElem(F, *pair)
     assert calls
     assert (x.num, x.den) == (expected.num, expected.den)
@@ -454,16 +454,39 @@ def test_prs_gcd_matches_zz_i_oracle(pair):
     assert not zz_i(h).rem(expected) and not expected.rem(zz_i(h))
 
 
+# (num, den) = (A H, B H) off every axis, with a common factor H of degree >= 1
+GAUSSIAN_PLANTED = [
+    (((2, 0), (0, 1)), ((1, 1), (0, 0), (3, -1)), ((3, 0), (1, 1), (1, 0))),
+    (((0, -1), (1, 0), (0, 0), (2, 0)), ((1, 0), (1, 0)),
+     ((5, 0), (0, 2), (0, 0), (1, 0))),
+]
+
+
+@pytest.mark.parametrize("a,b,h", GAUSSIAN_PLANTED)
+def test_gaussian_fraction_reduces_by_prs_only(monkeypatch, fresh_memo, a, b, h):
+    """The heuristic runs over Z only: a Gaussian fraction off the axes goes
+    straight to the primitive PRS, and the result is the QQ_I(v) value."""
+    ring = scalars._ZI
+    num, den = ring.pmul(a, h), ring.pmul(b, h)
+    assert scalars._axis(num, den) is None
+    calls = _fallback_calls(monkeypatch)
+    monkeypatch.setattr(scalars, "_heu_cofactors",
+                        lambda *args: pytest.fail("heuristic over Z[i]"))
+    x = FieldElem(F, num, den)
+    assert calls
+    _assert_canonical(x)
+    assert _qq_i_poly(x.num).gcd(_qq_i_poly(x.den)).degree() == 0
+    value = QIV.field(_qq_i_poly(num)) / QIV.field(_qq_i_poly(den))
+    assert not QIV.field(_qq_i_poly(x.num)) / QIV.field(_qq_i_poly(x.den)) - value
+
+
 def test_coprimality_certificate():
     p = scalars._SCREEN_PRIME
     # (v + 1)(v + 2) and (v + 1); v + 1 and v + 2
-    assert not scalars._coprime_mod_p([2, 3, 1], [1, 1], False)
-    assert scalars._coprime_mod_p([1, 1], [2, 1], False)
-    # (v - i)(v + 1) and v - i share v - i; v - i and v + i do not
-    assert not scalars._coprime_mod_p([(0, -1), (1, -1), (1, 0)], [(0, -1), (1, 0)], True)
-    assert scalars._coprime_mod_p([(0, -1), (1, 0)], [(0, 1), (1, 0)], True)
+    assert not scalars._coprime_mod_p([2, 3, 1], [1, 1])
+    assert scalars._coprime_mod_p([1, 1], [2, 1])
     # coprime over Q, but the leading coefficient p vanishes mod p: no certificate
-    assert not scalars._coprime_mod_p([1, p], [2, 1], False)
+    assert not scalars._coprime_mod_p([1, p], [2, 1])
 
 
 # -- reduction on deflated polynomials ---------------------------------------
@@ -519,8 +542,8 @@ def test_fallbacks_on_deflated_polynomials(pair):
     """Forcing either fallback gives the same tuples, and the PRS gcd sees
     the deflations: no common stride, v dividing at most one side."""
     expected = FieldElem(F, *pair)
-    for name, forced in (("_heu_cofactors", lambda f, g, ring: None),
-                         ("_coprime_mod_p", lambda a, b, gaussian: False)):
+    for name, forced in (("_heu_cofactors", lambda f, g: None),
+                         ("_coprime_mod_p", lambda a, b: False)):
         with pytest.MonkeyPatch.context() as mp:
             calls = _fallback_calls(mp)
             mp.setattr(scalars, name, forced)
@@ -540,9 +563,9 @@ def test_quantum_integer_quotients_reduce_deflated(monkeypatch, fresh_memo, n, m
     calls = []
     heu = scalars._heu_cofactors
 
-    def spy(f, g, ring):
+    def spy(f, g):
         calls.append((f, g))
-        return heu(f, g, ring)
+        return heu(f, g)
 
     monkeypatch.setattr(scalars, "_heu_cofactors", spy)
     x = F.qint(n) / F.qint(m)
