@@ -7,6 +7,7 @@ Exit codes: 0 all enabled checks pass, 1 a check failed, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -397,12 +398,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _out_argument(argv) -> str | None:
-    """The --out of a command line, also of one that does not parse."""
+@functools.cache
+def _out_parser() -> _Parser:
     parser = _Parser(add_help=False)
     parser.add_argument("--out")
+    return parser
+
+
+def _out_argument(argv) -> str | None:
+    """The --out of a command line, also of one that does not parse."""
     try:
-        return parser.parse_known_args(argv)[0].out
+        return _out_parser().parse_known_args(argv)[0].out
     except InputError:
         return None
 
@@ -430,7 +436,10 @@ ARGUMENTS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = _Parser(
         prog="qspherical",
         description="Exact checks for quantum symmetric pairs, their characters "
@@ -443,6 +452,10 @@ def main(argv=None) -> int:
             p.add_argument(f"--{name}", **ARGUMENTS[name])
     sub.choices["examples"].add_argument(
         "which", nargs="?", default="aiii-sl3", choices=("aiii-sl3", "aiii3-sl4"))
+    return parser
+
+
+def main(argv=None) -> int:
     out = _out_argument(argv)
     try:
         if out:
@@ -452,7 +465,7 @@ def main(argv=None) -> int:
                 out = None      # so the report goes to stdout
                 raise InputError(f"cannot write the report to {exc.filename}: "
                                  f"{exc.strerror}") from exc
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         given = vars(args)
         checks = {"invariance": ("quasik", "spherical")}.get(args.command,
                                                             (args.command,))

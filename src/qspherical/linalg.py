@@ -255,6 +255,8 @@ def _kernel_vector(rows: list, pivots: list, free: int, ncols: int,
     """Back substitution through echelon rows: the kernel vector whose free
     column `free` is one and whose other free columns are zero."""
     one = (ring.one,)
+    # a Z polynomial over 1 is already canonical; a Z[i] one may be real
+    exact = ring is _Z
     vec = [field.zero] * ncols
     vec[free] = field.one
     for k in range(len(pivots) - 1, -1, -1):
@@ -263,9 +265,9 @@ def _kernel_vector(rows: list, pivots: list, free: int, ncols: int,
         row = rows[k]
         for j in range(pc + 1, ncols):
             if row[j] and vec[j]:
-                acc = acc + FieldElem(field, row[j], one) * vec[j]
+                acc = acc + FieldElem(field, row[j], one, _normalized=exact) * vec[j]
         if acc:
-            vec[pc] = -acc / FieldElem(field, row[pc], one)
+            vec[pc] = -acc / FieldElem(field, row[pc], one, _normalized=exact)
     return vec
 
 

@@ -27,6 +27,13 @@ the real N and D over Z and carry the phase k (i * i = -1), and a Gaussian
 fraction on an axis is reduced over Z and paired again.  Only a mixed value,
 such as the sum of a real and an imaginary one, takes the Z[i] kernels.
 
+Most dens are monomials c v^m.  A product or same-axis sum of two values on
+an axis with monomial dens runs in integer arithmetic only, with no general
+reduction: the nums are multiplied (or added over the common den
+lcm(c, c') v^max(m, m')), and the content gcd(c, num) and the common power
+of v are cancelled.  That is the canonical form, since c v^m has no other
+factor to share with the num.
+
 A product or sum needs a polynomial gcd only when the den of an operand is
 not a monomial c v^m, and such operations repeat: a form entry times a dual
 coefficient recurs in every pairing of the line.  So their canonical
@@ -51,6 +58,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from itertools import compress
 from types import SimpleNamespace
 
 
@@ -149,8 +157,8 @@ def _pairs(p: tuple) -> tuple:
 def _z_mul(a: tuple, b: tuple) -> tuple:
     if len(a) > len(b):
         a, b = b, a
-    if a == (1,):
-        return b
+    if len(a) == 1:
+        return b if a[0] == 1 else tuple([a[0] * y for y in b])
     out = [0] * (len(a) + len(b) - 1)
     nz = [(k, y) for k, y in enumerate(b) if y]
     for j, x in enumerate(a):
@@ -314,7 +322,7 @@ def _zi_divide(f: tuple, h: tuple) -> tuple | None:
 # quotient, product, the unit that normalizes a leading coefficient) and the
 # polynomial operations the PRS gcd and the arithmetic need.
 _Z = SimpleNamespace(
-    zero=0, one=1, gcd=math.gcd, content=lambda p: math.gcd(*p),
+    zero=0, one=1, content=lambda p: math.gcd(*p),
     quo=operator.floordiv, times=operator.mul, unit=lambda c: 1 if c > 0 else -1,
     divide=_z_divide, pmul=_z_mul, padd=_z_add, pneg=lambda a: tuple(-x for x in a))
 _ZI = SimpleNamespace(
@@ -416,7 +424,8 @@ def _cancel(f: tuple, g: tuple, ring) -> tuple:
     zero = ring.zero
     a, b = _val(f, zero), _val(g, zero)
     f, g = f[a:], g[b:]
-    k = math.gcd(*[e for p in (f, g) for e, c in enumerate(p) if c != zero])
+    k = math.gcd(*[e for p in (f, g) for e in compress(
+        range(len(p)), p if ring is _Z else map(any, p))])
     if k > 1:
         f, g = f[::k], g[::k]
     cofactors = _heu_cofactors(f, g) if ring is _Z else None
@@ -435,13 +444,20 @@ def _axis(num: tuple, den: tuple) -> tuple | None:
     and a num that is real or purely imaginary.  None otherwise."""
     if type(den[0]) is int:
         return 0, num, den
-    if any(c[1] for c in den):
+    dre, dim = zip(*den)
+    if any(dim):
         return None
-    if not any(c[0] for c in num):
-        return 1, tuple(c[1] for c in num), tuple(c[0] for c in den)
-    if not any(c[1] for c in num):
-        return 0, tuple(c[0] for c in num), tuple(c[0] for c in den)
+    nre, nim = zip(*num) if num else ((), ())
+    if not any(nre):
+        return 1, nim, dre
+    if not any(nim):
+        return 0, nre, dre
     return None
+
+
+def _imaginary(num: tuple, den: tuple) -> tuple:
+    """The pair form of i num/den, for int tuples num and den."""
+    return tuple([(0, c) for c in num]), tuple([(c, 0) for c in den])
 
 
 def _reduce(num: tuple, den: tuple, k: int = 0) -> tuple:
@@ -463,23 +479,36 @@ def _reduce(num: tuple, den: tuple, k: int = 0) -> tuple:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return (), (1,)
-    shift = min(_val(num, zero), _val(den, zero))
+    low = _val(den, zero)
+    # a den that is not a monomial needs a gcd
+    cancel = low < len(den) - 1
+    shift = min(_val(num, zero), low)
     if shift:
         num, den = num[shift:], den[shift:]
-    cf, f = _primitive(num, ring)
-    cg, g = _primitive(den, ring)
-    if _val(den, zero) < len(den) - 1:
-        # den is not a monomial: cancel the common factor
-        f, g = _cancel(f, g, ring)
-    d = ring.gcd(cf, cg)
-    n, m = ring.quo(cf, d), ring.quo(cg, d)
-    u = ring.unit(ring.times(m, g[-1]))
-    num, den = _scale(f, ring.times(n, u), ring), _scale(g, ring.times(m, u), ring)
-    if k:
-        return tuple((0, c) for c in num), tuple((c, 0) for c in den)
-    if ring is _ZI and not any(c[1] for c in num) and not any(c[1] for c in den):
-        return tuple(c[0] for c in num), tuple(c[0] for c in den)
-    return num, den
+    if ring is _ZI:
+        cf, f = _primitive(num, ring)
+        cg, g = _primitive(den, ring)
+        if cancel:
+            f, g = _cancel(f, g, ring)
+        d = ring.gcd(cf, cg)
+        n, m = ring.quo(cf, d), ring.quo(cg, d)
+        u = ring.unit(ring.times(m, g[-1]))
+        num, den = _scale(f, ring.times(n, u), ring), _scale(g, ring.times(m, u), ring)
+        if not any(c[1] for c in num) and not any(c[1] for c in den):
+            return tuple(c[0] for c in num), tuple(c[0] for c in den)
+        return num, den
+    cf, cg = math.gcd(*num), math.gcd(*den)
+    f = num if cf == 1 else tuple([c // cf for c in num])
+    g = den if cg == 1 else tuple([c // cg for c in den])
+    if cancel:
+        f, g = _cancel(f, g, _Z)
+    d = math.gcd(cf, cg)
+    n, m = cf // d, cg // d
+    if g[-1] < 0:
+        n, m = -n, -m
+    num = f if n == 1 else tuple([c * n for c in f])
+    den = g if m == 1 else tuple([c * m for c in g])
+    return _imaginary(num, den) if k else (num, den)
 
 
 def _with_unit_lead(num: tuple, den: tuple, ring) -> tuple:
@@ -505,9 +534,60 @@ def _lift(x: "FieldElem", y: "FieldElem", on_axis: bool = True) -> tuple:
     return _ZI, 0, _pairs(x.num), _pairs(x.den), 0, _pairs(y.num), _pairs(y.den)
 
 
-def _monomial(den: tuple) -> bool:
-    """Is a stored den a monomial c v^m?"""
-    return len(den) == 1 or (den[0] in (0, (0, 0)) and den.count(den[0]) == len(den) - 1)
+def _monomial_axis(x: "FieldElem"):
+    """`_axis` of x, (k, N, D), when x has a monomial den c v^m; then False
+    if x is off the axes.  None when the den is not a monomial."""
+    den = x.den
+    if type(den[0]) is int:
+        return (0, x.num, den) if den.count(0) == len(den) - 1 else None
+    if den.count((0, 0)) == len(den) - 1:
+        return _axis(x.num, den) or False
+    return None
+
+
+def _over_monomial(num, c: int, m: int, k: int) -> tuple:
+    """The canonical (num, den) of i^k num/(c v^m), for a nonzero trimmed
+    int sequence num and c > 0: cancel the common power of v and the
+    common content, with no gcd of polynomials."""
+    if m and not num[0]:
+        shift = min(_val(num, 0), m)
+        num, m = num[shift:], m - shift
+    if c != 1:
+        d = math.gcd(c, *num)
+        if d != 1:
+            num, c = [x // d for x in num], c // d
+    num, den = tuple(num), (0,) * m + (c,)
+    return _imaginary(num, den) if k else (num, den)
+
+
+def _monomial_product(a: tuple, b: tuple) -> tuple:
+    """The canonical (num, den) of x * y, for a and b the `_axis` of x and
+    y, both nonzero with monomial dens."""
+    j, an, ad = a
+    k, bn, bd = b
+    num = _z_mul(an, bn)
+    if j & k:
+        num = [-x for x in num]     # i * i = -1
+    return _over_monomial(num, ad[-1] * bd[-1], len(ad) + len(bd) - 2, j ^ k)
+
+
+def _monomial_sum(a: tuple, b: tuple) -> tuple:
+    """The canonical (num, den) of x + y, for a and b the `_axis` of x and
+    y, both nonzero with monomial dens on the same axis."""
+    k, an, ad = a
+    _, bn, bd = b
+    c, e = ad[-1], bd[-1]
+    if c != e:
+        # both over lcm(c, e)
+        g = math.gcd(c, e)
+        an, bn = _z_mul(an, (e // g,)), _z_mul(bn, (c // g,))
+        c = c // g * e
+    m, n = len(ad) - 1, len(bd) - 1
+    if m != n:
+        # both over v^max(m, n)
+        an, bn, m = (0,) * (n - m) + an, (0,) * (m - n) + bn, max(m, n)
+    num = _z_add(an, bn)
+    return _over_monomial(num, c, m, k) if num else ((), (1,))
 
 
 def _product(x: "FieldElem", y: "FieldElem") -> tuple:
@@ -680,10 +760,16 @@ class FieldElem:
             return other
         if not other.num:
             return self
-        if _monomial(self.den) and _monomial(other.den):
-            num, den = _sum(self, other)
-        else:
+        a, b = _monomial_axis(self), _monomial_axis(other)
+        if a and b and a[0] == b[0]:
+            num, den = _monomial_sum(a, b)
+            if not num:
+                return self.field.zero
+        elif a is None or b is None:
             num, den = _memo(_sum, self, other)
+        else:
+            # monomial dens, a mixed sum or a value off the axes
+            num, den = _sum(self, other)
         return FieldElem(self.field, num, den, _normalized=True)
 
     __radd__ = __add__
@@ -703,10 +789,14 @@ class FieldElem:
         other = self._co(other)
         if not self.num or not other.num:
             return self.field.zero
-        if _monomial(self.den) and _monomial(other.den):
-            num, den = _product(self, other)
-        else:
+        a, b = _monomial_axis(self), _monomial_axis(other)
+        if a and b:
+            num, den = _monomial_product(a, b)
+        elif a is None or b is None:
             num, den = _memo(_product, self, other)
+        else:
+            # monomial dens, a value off the axes
+            num, den = _product(self, other)
         return FieldElem(self.field, num, den, _normalized=True)
 
     __rmul__ = __mul__

@@ -146,6 +146,33 @@ def test_help_still_exits():
     assert info.value.code == 0
 
 
+def test_parser_is_built_once(sl3_config, monkeypatch, capsys):
+    """Command lines with different subcommands, a usage error among them,
+    parse with one parser, built by the first."""
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli._parser.cache_clear()
+    cli._out_parser.cache_clear()
+    try:
+        assert main(["table1"]) == EXIT_PASS
+        first = list(built)
+        assert main(["validate", "--config", sl3_config]) == EXIT_PASS
+        capsys.readouterr()
+        assert main(["examples", "nonsense"]) == EXIT_INPUT_ERROR
+        assert built == first
+        assert first.count("qspherical") == 1
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "input"
+    finally:
+        cli._parser.cache_clear()
+        cli._out_parser.cache_clear()
+
+
 @pytest.mark.parametrize("cartan", [[[2, -2], [-2, 2]], [[2, -3], [-3, 2]]],
                          ids=["affine-A1", "hyperbolic"])
 def test_cartan_matrix_not_of_finite_type(tmp_path, capsys, cartan):

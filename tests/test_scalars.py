@@ -411,8 +411,15 @@ def _fallback_calls(mp):
     return calls
 
 
+def _with_binomial_factor(pair):
+    """A planted fraction times (1 + v)/(1 + v): its den is not a monomial
+    c v^m, so its reduction always takes a gcd."""
+    ring = scalars._ZI if type(pair[0][0]) is tuple else scalars._Z
+    return tuple(ring.pmul(p, (ring.one, ring.one)) for p in pair)
+
+
 @settings(max_examples=15, deadline=None)
-@given(planted_fractions())
+@given(planted_fractions().map(_with_binomial_factor))
 def test_heuristic_give_up_falls_back_to_prs(pair):
     expected = FieldElem(F, *pair)
     with pytest.MonkeyPatch.context() as mp:
@@ -425,7 +432,7 @@ def test_heuristic_give_up_falls_back_to_prs(pair):
 
 
 @settings(max_examples=15, deadline=None)
-@given(planted_fractions())
+@given(planted_fractions().map(_with_binomial_factor))
 def test_failed_certificate_falls_back_to_prs(pair):
     expected = FieldElem(F, *pair)
     with pytest.MonkeyPatch.context() as mp:
@@ -638,6 +645,102 @@ def _gaussian_kernel_calls(mp):
             if g is f:
                 mp.setattr(scalars._ZI, attr, spy(name, f))
     return calls
+
+
+# -- monomial dens c v^m: integer arithmetic with no general reduction ------
+
+@st.composite
+def monomial_pairs(draw):
+    """Two values i^k c N / (d v^m), as (k, num, den) before reduction: real
+    (k = 0) or imaginary (k = 1), with contents c of either sign that share
+    factors with d, and m from 0 to 4.  The second value is drawn alone, or
+    as i^k (v^t B - c N) / (d v^m) from the first, so that the sum of the
+    two cancels to zero (B = 0) or to a lower power of v."""
+    small = st.sampled_from([1, 2, 3, 4, 6, 12])
+    sign = st.sampled_from([1, -1])
+    coeff = st.integers(-6, 6)
+
+    def raw():
+        poly = draw(st.lists(coeff, max_size=4)) + [draw(coeff.filter(bool))]
+        c = draw(small) * draw(sign)
+        den = (0,) * draw(st.integers(0, 4)) + (draw(small) * draw(sign),)
+        return draw(st.integers(0, 1)), tuple(c * a for a in poly), den
+
+    x = raw()
+    if draw(st.booleans()):
+        return x, raw()
+    k, num, den = x
+    top = [0] * draw(st.integers(1, 3)) + draw(st.lists(coeff, max_size=3))
+    top += [0] * (len(num) - len(top))
+    return x, (k, tuple(a - b for a, b in zip(top, num + (0,) * len(top))), den)
+
+
+def _general_reduction(op, x, y):
+    """The canonical (num, den) of op(x, y) for raw (k, num, den) values,
+    by `_reduce` of the unreduced Gaussian product or sum."""
+    (j, an, ad), (k, bn, bd) = x, y
+    an, ad = _on_axis(an, ad, j, True)
+    bn, bd = _on_axis(bn, bd, k, True)
+    if op == "mul":
+        return scalars._reduce(scalars._zi_mul(an, bn), scalars._zi_mul(ad, bd))
+    if op == "sub":
+        bn = tuple((-re, -im) for re, im in bn)
+    return scalars._reduce(scalars._zi_add(scalars._zi_mul(an, bd), scalars._zi_mul(bn, ad)),
+                           scalars._zi_mul(ad, bd))
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_pairs())
+def test_monomial_arithmetic_matches_the_general_reduction(pair):
+    """Products, sums and differences on monomial dens give, tuple for
+    tuple, what `_reduce` makes of the unreduced result, and the QQ_I(v)
+    value."""
+    x, y = (FieldElem(F, *_on_axis(num, den, k, bool(k))) for k, num, den in pair)
+    fx, fy = frac_of(x), frac_of(y)
+    for op, z, expected in (("mul", x * y, fx * fy), ("add", x + y, fx + fy),
+                            ("sub", x - y, fx - fy)):
+        assert (z.num, z.den) == _general_reduction(op, *pair)
+        assert not frac_of(z) - expected
+        if z:
+            _assert_canonical(z)
+
+
+def test_monomial_dens_skip_the_reduction(fresh_memo):
+    """Values on an axis with dens c v^m multiply and add without `_reduce`,
+    `_cancel` or the memo; a real value plus an imaginary one is mixed and
+    still takes the Z[i] kernels."""
+    x = FieldElem(F, (3, 0, -6), (0, 4))                        # 3 (1 - 2 v^2) / (4 v)
+    y = FieldElem(F, *_on_axis((2, 1), (0, 0, 0, 6), 1, True))  # i (2 + v) / (6 v^3)
+    r = FieldElem(F, (1, 0, 1), (1,))                           # 1 + v^2
+    s = FieldElem(F, (-3,), (0, 4))                             # -3 / (4 v)
+    memo = []
+
+    def fail(*args):
+        raise AssertionError("a general reduction on monomial dens")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "_reduce", fail)
+        mp.setattr(scalars, "_cancel", fail)
+        mp.setattr(scalars, "_memo", lambda *args: memo.append(args))
+        got = [x * y, y * y, x * r, r * y, x * s, x + r, x + s, y + y, x - x,
+               y - y, y + y * F.v_power(-2)]
+    assert memo == []
+    fx, fy, fr, fs = (frac_of(z) for z in (x, y, r, s))
+    expected = [fx * fy, fy * fy, fx * fr, fr * fy, fx * fs, fx + fr, fx + fs,
+                fy + fy, 0, 0, fy + fy * frac_of(F.v_power(-2))]
+    for z, value in zip(got, expected):
+        assert not frac_of(z) - value
+        if z:
+            _assert_canonical(z)
+    # the sum cancels the constant term and so a power of v: -3 v / 2
+    assert (got[6].num, got[6].den) == ((0, -3), (2,))
+    assert got[8] is F.zero and got[9] is F.zero
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _gaussian_kernel_calls(mp)
+        mixed = x + y
+        assert calls
+    assert not frac_of(mixed) - (fx + fy)
+    _assert_canonical(mixed)
 
 
 def test_axis_values_skip_the_gaussian_kernels(fresh_memo):
