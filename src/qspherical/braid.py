@@ -58,8 +58,7 @@ class Operator:
 
     @classmethod
     def identity(cls, module: WeightModule) -> "Operator":
-        ident = Diagonal(module, [module.field.one] * module.dim)
-        return ident.with_inverse(ident)
+        return Diagonal(module, [module.field.one] * module.dim)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check(other)
@@ -258,21 +257,13 @@ def _rank_one(i: int, e: int, kind: str, module: WeightModule) -> list:
 
 def lusztig_T_word(word, e: int, kind: str, module: WeightModule) -> Operator:
     """Composite braid operator along a reduced word, leftmost factor first,
-    with its inverse attached: T'_{i,e} and T''_{i,-e} are mutually inverse
-    (Lusztig 37.1.2), so the inverse is the composite of the other kind with
-    sign -e along the reversed word.  Both are chains of rank-one operators;
-    the inverse's are built when it first acts."""
+    as the chain of its rank-one factors.  Its inverse, by the chain rule and
+    T'_{i,e}^-1 = T''_{i,-e} (Lusztig 37.1.2), is the chain of the other kind
+    with sign -e along the reversed word, built when it first acts."""
     if not word:
         return Operator.identity(module)
-    other = "doubleprime" if kind == "prime" else "prime"
-    return Chain(module, _letters(word, e, kind, module)).with_inverse(
-        Chain(module, lambda: _letters(word[::-1], -e, other, module)))
-
-
-def _letters(word, e: int, kind: str, module: WeightModule) -> list:
-    """The factors along the word; one rank-one operator per distinct letter."""
     factors = {i: lusztig_T(i, e, kind, module) for i in dict.fromkeys(word)}
-    return [factors[i] for i in word]
+    return Chain(module, [factors[i] for i in word])
 
 
 def phi_diag(a: dict, module: SimpleModule) -> Operator:

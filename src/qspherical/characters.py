@@ -183,10 +183,15 @@ def _black_rows(module: SimpleModule, gens: CoidealGenerators, support: list) ->
     return rows
 
 
-def _support_kernel(module: SimpleModule, rows: list, support: list) -> list:
-    """The joint kernel of rows restricted to the support columns, each
-    vector embedded back into the module with zeros off the support."""
+def _joint_kernel(module: SimpleModule, base_rows: list, white: dict,
+                  values: dict, support: list) -> list:
+    """The joint kernel on the support of the base rows and of the
+    eigen-rows X_i - values[i] of each white operator X_i, each vector
+    embedded back into the module with zeros off the support."""
     field = module.field
+    rows = list(base_rows)
+    for i in sorted(white):
+        rows.extend(_eigen_rows(white[i].mat, values[i], support))
     rows = [row for row in rows if any(row)]
     out = []
     for vec in linalg.nullspace(rows, len(support), field):
@@ -195,16 +200,6 @@ def _support_kernel(module: SimpleModule, rows: list, support: list) -> list:
             full[k] = x
         out.append(full)
     return out
-
-
-def _joint_kernel(module: SimpleModule, base_rows: list, white: dict,
-                  values: dict, support: list) -> list:
-    """The joint kernel on the support of the base rows and of the
-    eigen-rows X_i - values[i] of each white operator X_i."""
-    rows = list(base_rows)
-    for i in sorted(white):
-        rows.extend(_eigen_rows(white[i].mat, values[i], support))
-    return _support_kernel(module, rows, support)
 
 
 def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,

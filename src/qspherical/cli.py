@@ -80,7 +80,7 @@ def _load_satake(job: JobSpec) -> SatakeDatum:
         with open(job.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         return satake_from_config(cfg)
-    except (OSError, json.JSONDecodeError, RootDatumError) as exc:
+    except (OSError, ValueError, TypeError, RootDatumError) as exc:
         raise InputError(f"config error: {exc}") from exc
 
 
@@ -102,6 +102,8 @@ def _load_parameter(job: JobSpec, satake: SatakeDatum, field: Field) -> Paramete
                 values[node] = parse_scalar(literal, field)
     except (ScalarParseError, UnrepresentableScalar, ValueError) as exc:
         raise InputError(f"parameter error: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise InputError(f"parameter error: {literal} divides by zero") from exc
     try:
         return Parameter(satake, c, s)
     except Exception as exc:

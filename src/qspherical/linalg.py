@@ -319,9 +319,10 @@ def _strip_row_content(row, ring) -> list:
 
 
 def _modular_rank(rows, ncols: int, ring) -> int:
-    """Rank of integer polynomial rows at a fixed point mod p.  Evaluation
-    (with i -> a square root of -1) is a ring map, so a full modular rank
-    certifies full rank; a lower one decides nothing."""
+    """Rank of integer polynomial rows at a fixed point mod p, the number of
+    pivots of a forward elimination by cross multiplication, as in
+    `_echelonize`.  Evaluation (with i -> a square root of -1) is a ring map,
+    so a full modular rank certifies full rank; a lower one decides nothing."""
     p, s = _SCREEN_PRIME, _SCREEN_ROOT
     t = 987654323 % p
     work = []
@@ -335,22 +336,20 @@ def _modular_rank(rows, ncols: int, ring) -> int:
                 power = power * t % p
             mrow.append(acc)
         work.append(mrow)
-    rank_count = 0
     r = 0
     for col in range(ncols):
         piv = next((k for k in range(r, len(work)) if work[k][col]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][col], p - 2, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for k in range(len(work)):
-            if k != r and work[k][col]:
-                f = work[k][col]
-                work[k] = [(x - f * y) % p for x, y in zip(work[k], work[r])]
-        rank_count += 1
+        prow = work[r]
+        a = prow[col]
+        for k in range(r + 1, len(work)):
+            f = work[k][col]
+            if f:
+                work[k] = [(a * x - f * y) % p for x, y in zip(work[k], prow)]
         r += 1
-    return rank_count
+    return r
 
 
 def kron(a: list, b: list, field: Field) -> list:

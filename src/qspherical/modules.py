@@ -396,16 +396,14 @@ def check_defining_relations(m: WeightModule) -> list:
             elif not linalg.is_zero_matrix(lhs):
                 problems.append(f"[E_{i}, F_{j}] is nonzero")
     for i in range(n):
-        k = m.k_i_matrix(i)
-        kinv = m.k_i_matrix(i, -1)
+        k, kinv = m.k_i_diagonal(i), m.k_i_diagonal(i, -1)
         for j in range(n):
             scal = field.q_power(Fraction(datum.d[i] * datum.cartan[i][j]))
-            lhs = linalg.mat_mul(k, linalg.mat_mul(m.e_mats[j], kinv))
-            if not linalg.mat_eq(lhs, linalg.mat_scale(m.e_mats[j], scal)):
-                problems.append(f"K_{i} E_{j} K_{i}^-1 has the wrong scalar")
-            lhs = linalg.mat_mul(k, linalg.mat_mul(m.f_mats[j], kinv))
-            if not linalg.mat_eq(lhs, linalg.mat_scale(m.f_mats[j], scal.inverse())):
-                problems.append(f"K_{i} F_{j} K_{i}^-1 has the wrong scalar")
+            for x, name, expect in ((m.e_mats[j], "E", scal),
+                                    (m.f_mats[j], "F", scal.inverse())):
+                lhs = linalg.scale_rows(k, linalg.scale_columns(x, kinv))
+                if not linalg.mat_eq(lhs, linalg.mat_scale(x, expect)):
+                    problems.append(f"K_{i} {name}_{j} K_{i}^-1 has the wrong scalar")
     for i in range(n):
         for j in range(n):
             if i == j:

@@ -12,7 +12,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .braid import Operator, lusztig_T_word, _monomial_roots
+from .braid import Diagonal, Operator, lusztig_T_word, _monomial_roots
 from .modules import WeightModule
 from .rootdata import SatakeDatum
 from .scalars import Field, FieldElem
@@ -40,7 +40,7 @@ class Parameter:
         ss = {}
         for i in satake.I_circ:
             val = (s or {}).get(i, field.zero)
-            ss[i] = field.coerce(val) if not isinstance(val, FieldElem) else val
+            ss[i] = field.coerce(val)
         self.s = ss
         if validate:
             problems = self.membership_violations()
@@ -189,7 +189,7 @@ class CoidealGenerators:
         satake = param.satake
         self.black_E = {j: Operator(module, module.e_mats[j]) for j in satake.black}
         self.black_F = {j: Operator(module, module.f_mats[j]) for j in satake.black}
-        self.torus = [(h, Operator(module, module.k_matrix(h)))
+        self.torus = [(h, Diagonal(module, module.k_diagonal(h)))
                       for h in satake.theta_fixed_torus_generators()]
 
     @functools.cached_property

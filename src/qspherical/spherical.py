@@ -15,7 +15,7 @@ from . import linalg
 from .braid import Operator, lusztig_T_word
 from .modules import ModuleVector, SimpleModule, act_Kh, act_matrix
 from .qsp import CoidealGenerators
-from .rootdata import SatakeDatum
+from .rootdata import SatakeDatum, _identity_int, _mat_mul_int
 
 
 class SphericalError(Exception):
@@ -112,11 +112,9 @@ def _restrict(coeff: MatrixCoefficient, basis) -> TorusFunction:
 def weyl_act(word, t: TorusFunction, satake: SatakeDatum) -> TorusFunction:
     """Transport by the relative Weyl element of the word of white nodes."""
     k = len(t.basis)
-    mat = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
+    mat = _identity_int(k)
     for i in word:
-        r = satake.relative_weyl_matrix_on_y_theta(i)
-        mat = [[sum(mat[a][b] * r[b][c] for b in range(k)) for c in range(k)]
-               for a in range(k)]
+        mat = _mat_mul_int(mat, satake.relative_weyl_matrix_on_y_theta(i))
     data = {}
     for key, val in t.data.items():
         newkey = tuple(sum(mat[r][c] * key[r] for r in range(k)) for c in range(k))

@@ -401,3 +401,35 @@ def test_chains_match_dense_products(path, root_order):
         t = reduce(la.mat_mul, [lusztig_T(j, -1, "prime", m).mat
                                 for j in satake.relative_generator(i)])
         _assert_chain_matches(resc, reduce(la.mat_mul, [la.invert(phi), t, phi]), v)
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: p.stem)
+def test_word_inverse_is_the_chain_rule(path, monkeypatch):
+    """The inverse of a composite is the chain of the cached rank-one
+    operators of the other kind with sign -e along the reversed word; no
+    triple sum runs for it until it acts."""
+    import qspherical.braid as braid
+    from qspherical.modules import ModuleVector, build_simple
+    from qspherical.rootdata import satake_from_config
+    datum = satake_from_config(json.loads(path.read_text())).datum
+    word = datum.w0_word()
+    sums = []
+    rank_one = braid._rank_one
+    monkeypatch.setattr(braid, "_rank_one",
+                        lambda *args: sums.append(args[:3]) or rank_one(*args))
+    lam = CONFIG_WEIGHTS[path.stem][0]
+    for e in (1, -1):
+        for kind, other in (("prime", "doubleprime"), ("doubleprime", "prime")):
+            # a fresh module, so that no rank-one operator is cached yet
+            m = build_simple(datum, lam, F)
+            t = lusztig_T_word(word, e, kind, m)
+            sums.clear()
+            inverse = t.inverse()
+            assert sums == []
+            v = ModuleVector(m, [F.q ** k for k in range(m.dim)])
+            assert inverse.apply(t.apply(v)) == v
+            assert sums == [(i, -e, other) for i in dict.fromkeys(word[::-1])]
+            cached = [lusztig_T(i, -e, other, m) for i in word[::-1]]
+            assert len(inverse.factors) == len(cached)
+            assert all(f is g for f, g in zip(inverse.factors, cached))
+    assert lusztig_T_word((), 1, "prime", m).inverse().is_identity()

@@ -228,7 +228,7 @@ def test_support_kernels_match_the_stacked_torus_rows(path, dense_rho):
     # Gram form
     import itertools
     from qspherical.characters import (_black_rows, _candidate_values,
-                                       _eigen_rows, _support_kernel,
+                                       _eigen_rows, _joint_kernel,
                                        _torus_support)
     from qspherical.qsp import distinguished_parameter
     from qspherical.rootdata import satake_from_config
@@ -264,7 +264,7 @@ def test_support_kernels_match_the_stacked_torus_rows(path, dense_rho):
                 rows = _black_rows(m, gens, support)
                 for block in white_rows:
                     rows += block
-                got = _support_kernel(m, rows, support)
+                got = _joint_kernel(m, rows, {}, {}, support)
                 assert got == _stacked_kernel(m, gens, lam, white)
                 found += len(got)
     assert found

@@ -414,3 +414,34 @@ def test_aii3_sweep_inverts_nothing(monkeypatch, tmp_path):
             "--weight", "0,1,0", "--weight", "0,2,0", "--out", str(tmp_path / "r.json")]
     assert main(argv) == EXIT_PASS
     assert sizes == []
+
+
+@pytest.mark.parametrize("argv,config", [
+    # parameter literals that divide by zero
+    (["--c", "1=q/0"], {}),
+    (["--c", "1=1/(q-q)"], {}),
+    (["--c", "1=q^(1/0)"], {}),
+    (["--c", "1=q", "--s", "1=0^-1"], {}),
+    # config entries that are not integers, or not lists
+    ([], {"symmetrizer": ["x"]}),
+    ([], {"cartan": [["a"]]}),
+    ([], {"tau": ["z"]}),
+    ([], {"black": ["z"]}),
+    ([], {"cartan": 5}),
+    ([], {"symmetrizer": None}),
+], ids=["c-over-zero", "c-over-q-minus-q", "c-exponent-over-zero",
+        "s-zero-inverse", "symmetrizer-x", "cartan-a", "tau-z", "black-z",
+        "cartan-5", "symmetrizer-null"])
+def test_bad_numbers_are_input_errors(tmp_path, capsys, argv, config):
+    # each of these ended the run in a traceback, with exit 1 and no report
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**AI1_CONFIG, **config}))
+    out = tmp_path / "report.json"
+    code = main(["invariance", "--config", str(path), "--weight", "1"]
+                + argv + ["--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+    report = json.loads(out.read_text())
+    assert report["checks"] == []
+    assert report["error"]["code"] == "input"

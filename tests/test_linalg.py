@@ -182,3 +182,69 @@ def test_invert_skips_the_modular_screen(monkeypatch):
     a = [[F.one, q], [F.zero, q * q]]
     monkeypatch.setattr(la, "_modular_rank", fail)
     assert la.mat_eq(la.mat_mul(a, la.invert(a)), la.identity(2, F))
+
+
+def _at_screen_point(poly):
+    """A Z or Z[i] polynomial at the screen point mod p, i -> the screen root."""
+    p = la._SCREEN_PRIME
+    t = 987654323 % p
+    c = [x[0] + x[1] * la._SCREEN_ROOT if type(x) is tuple else x for x in poly]
+    return sum(x * pow(t, k, p) for k, x in enumerate(c)) % p
+
+
+def integer_rows(max_rows=5, max_cols=4):
+    """Rows over Z[v] or Z[i][v] as the kernel receives them: random Laurent
+    polynomials with small coefficients, cleared by `_integer_rows`, and
+    sometimes a last row planted as a combination of two others."""
+    @st.composite
+    def build(draw):
+        gaussian = draw(st.booleans())
+        coeff = st.integers(-3, 3)
+
+        def entry():
+            low = draw(st.integers(-1, 1))
+            out = F.zero
+            for k in range(draw(st.integers(0, 3))):
+                c = F.rational(draw(coeff))
+                if gaussian:
+                    c = c + F.rational(draw(coeff)) * F.i
+                out = out + c * F.v_power(low + k)
+            return out
+
+        nrows = draw(st.integers(1, max_rows))
+        ncols = draw(st.integers(1, max_cols))
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and draw(st.booleans()):
+            s, t = entry(), entry()
+            rows[-1] = [s * x + t * y
+                        for x, y in zip(rows[0], rows[1 % (nrows - 1)])]
+        return rows, ncols
+    return build()
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_rows())
+def test_modular_rank_only_certifies(case):
+    # evaluation is a ring map, so the screen never finds more pivots than
+    # the kernel; the kernel's updates are invertible at the screen point
+    # when no pivot vanishes there (the contents it strips are far below p),
+    # and then both find the same pivots
+    a, ncols = case
+    rows, ring = la._integer_rows(a)
+    screen = la._modular_rank(rows, ncols, ring)
+    echelon = [list(row) for row in rows]
+    pivots = la._echelonize(echelon, ncols, ring)
+    assert screen <= len(pivots)
+    if all(_at_screen_point(echelon[k][col]) for k, col in enumerate(pivots)):
+        assert screen == len(pivots)
+
+
+def test_modular_rank_drops_at_a_root():
+    # v - t vanishes at the screen point: the screen sees rank 1 of 2 and
+    # decides nothing, and the kernel finds full rank
+    root = F.v_power(1) - F.rational(987654323 % la._SCREEN_PRIME)
+    a = [[root, F.zero], [F.zero, F.one]]
+    rows, ring = la._integer_rows(a)
+    assert la._modular_rank(rows, 2, ring) == 1
+    assert la._echelonize([list(row) for row in rows], 2, ring) == [0, 1]
+    assert la.column_relations(a, 2, F) == {}

@@ -255,3 +255,17 @@ def test_serre_check_detects_a_twisted_generator(family, rank, lam):
     assert "Serre relation fails for E_0, E_1" in problems
     assert "Serre relation fails for E_1, E_0" in problems
     assert not any(p.startswith("Serre relation fails for F") for p in problems)
+
+
+def test_torus_relations_see_a_generator_of_the_wrong_weight(monkeypatch):
+    # K_i X K_i^-1 is formed by scaling rows and columns; with E_0 and F_0
+    # swapped, both fail at every node they pair with, E before F
+    from qspherical.modules import WeightModule
+    for name in ("k_matrix", "k_i_matrix"):
+        monkeypatch.setattr(WeightModule, name,
+                            lambda *args: pytest.fail("a dense K matrix"))
+    m = build_simple(root_datum("A", 2), (1, 1), F)
+    m.e_mats[0], m.f_mats[0] = m.f_mats[0], m.e_mats[0]
+    problems = [p for p in check_defining_relations(m) if p.startswith("K_")]
+    assert problems == [f"K_{i} {x}_0 K_{i}^-1 has the wrong scalar"
+                        for i in (0, 1) for x in "EF"]

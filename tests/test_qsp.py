@@ -226,3 +226,22 @@ def test_generators_are_built_once_per_module_and_parameter(aii3, params,
     other = Parameter(SatakeDatum(aii3.datum, (), (0, 1, 2)),
                       {0: F.q, 1: F.q, 2: F.q})
     assert coideal_generators(other, m) is not gens
+
+
+def test_torus_generators_are_diagonals(aii3, params, monkeypatch):
+    # K_h is held as its diagonal, and neither the generators nor the
+    # defining relations form a dense K matrix
+    from qspherical.braid import Diagonal
+    from qspherical.modules import WeightModule, check_defining_relations
+    for name in ("k_matrix", "k_i_matrix"):
+        monkeypatch.setattr(WeightModule, name,
+                            lambda *args: pytest.fail("a dense K matrix"))
+    m = build_simple(aii3.datum, (0, 1, 0), F)
+    gens = coideal_generators(params["aii3"], m)
+    gens.B, gens.rho_B
+    assert gens.torus
+    assert all(isinstance(k, Diagonal) for _, k in gens.torus)
+    assert check_defining_relations(m) == []
+    monkeypatch.undo()
+    for h, k in gens.torus:
+        assert k.mat == m.k_matrix(h)
