@@ -202,6 +202,38 @@ def _joint_kernel(module: SimpleModule, base_rows: list, white: dict,
     return out
 
 
+def _screen(base_rows: list, white: dict, support: list) -> tuple | None:
+    """The black rows and each white X_i on the support at the screen point
+    mod p, X_i as the pairs (r, row r) of its rows that are nonzero or on
+    the support; None when a denominator vanishes there."""
+    base = linalg.screen_image(base_rows)
+    images = [linalg.screen_image([[row[k] for k in support] for row in white[i].mat])
+              for i in sorted(white)]
+    if base is None or None in images:
+        return None
+    on_support = set(support)
+    return base, [[(r, row) for r, row in enumerate(image) if r in on_support or any(row)]
+                  for image in images]
+
+
+def _screened_out(screen: tuple | None, values: dict, support: list) -> bool:
+    """Whether a candidate value tuple certainly has no line: the screened
+    rows, values[i] subtracted on X_i's diagonal, have full column rank mod
+    p.  False when a denominator vanishes at the screen point."""
+    value_images = linalg.screen_image([[values[i] for i in sorted(values)]])
+    if screen is None or value_images is None:
+        return False
+    column = {r: k for k, r in enumerate(support)}
+    rows = list(screen[0])
+    for pairs, value in zip(screen[1], value_images[0]):
+        for r, row in pairs:
+            if r in column:
+                row = list(row)
+                row[column[r]] -= value
+            rows.append(row)
+    return linalg.modular_rank(rows, len(support)) == len(support)
+
+
 def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
                          param: Parameter) -> list:
     """All one-dimensional coideal submodules of the module.
@@ -210,6 +242,8 @@ def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
     weight carries the torus character of lam.  On it, stacks the black
     annihilation conditions and the white eigenconditions for each
     candidate value tuple, and keeps the one-dimensional joint kernels.
+    A candidate whose system has full rank at the screen point
+    (`_screened_out`) has no line and is skipped before any exact work.
     """
     satake = param.satake
     field = module.field
@@ -226,9 +260,12 @@ def find_spherical_lines(module: SimpleModule, gens: CoidealGenerators,
             node_candidates.append(_candidate_values(param, i, bound))
         else:
             node_candidates.append([(field.zero, None)])
+    screen = _screen(base_rows, gens.B, support)
     lines = []
     for combo in itertools.product(*node_candidates):
         values = {i: v for i, (v, _) in zip(nodes, combo)}
+        if _screened_out(screen, values, support):
+            continue
         kernel = _joint_kernel(module, base_rows, gens.B, values, support)
         if not kernel:
             continue

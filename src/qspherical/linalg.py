@@ -22,8 +22,10 @@ quasi-K raising words (one degree at a time) and each degree block of the
 intertwiner, `solve` and `invert` all come from it: column j of the answer
 to A X = B is the relation of column n + j of [A | -B].  A modular
 evaluation screen (i sent to a square root of -1 mod p) first certifies
-full rank; it never decides equality.  Over Q, `integer_kernel_basis` is
-the one kernel.
+full rank; it never decides equality.  Its evaluation (`_at_screen`,
+`screen_image`) and its one elimination (`modular_rank`) are separate, so
+the spherical-line candidates are screened on images evaluated once.  Over
+Q, `integer_kernel_basis` is the one kernel.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .scalars import _SCREEN_PRIME, _Z, _ZI, _pairs, _val
 # p = 1 mod 4 and 11 is not a square mod p, so 11^((p-1)/4) is a square root
 # of -1 and i -> _SCREEN_ROOT is a ring map Z[i] -> GF(p)
 _SCREEN_ROOT = pow(11, (_SCREEN_PRIME - 1) // 4, _SCREEN_PRIME)
+# v is sent to this point mod p
+_SCREEN_POINT = 987654323 % _SCREEN_PRIME
 
 
 def zeros(rows: int, cols: int, field: Field) -> list:
@@ -202,7 +206,9 @@ def column_relations(a: list, ncols: int, field: Field) -> dict:
     there are at least as many nonzero rows as columns.
     """
     rows, ring = _integer_rows(a)
-    if len(rows) >= ncols and _modular_rank(rows, ncols, ring) == ncols:
+    if (len(rows) >= ncols
+            and modular_rank([[_at_screen(poly) for poly in row] for row in rows],
+                             ncols) == ncols):
         return {}
     pivots = _echelonize(rows, ncols, ring)
     pivot_set = set(pivots)
@@ -318,27 +324,42 @@ def _strip_row_content(row, ring) -> list:
     return list(row)
 
 
-def _modular_rank(rows, ncols: int, ring) -> int:
-    """Rank of integer polynomial rows at a fixed point mod p, the number of
-    pivots of a forward elimination by cross multiplication, as in
-    `_echelonize`.  Evaluation (with i -> a square root of -1) is a ring map,
-    so a full modular rank certifies full rank; a lower one decides nothing."""
-    p, s = _SCREEN_PRIME, _SCREEN_ROOT
-    t = 987654323 % p
-    work = []
-    for row in rows:
-        mrow = []
-        for poly in row:
-            acc = 0
-            power = 1
-            for c in (poly if ring is _Z else (re + im * s for re, im in poly)):
-                acc = (acc + c * power) % p
-                power = power * t % p
-            mrow.append(acc)
-        work.append(mrow)
+def _at_screen(poly) -> int:
+    """A polynomial over Z or Z[i] (int or (re, im) coefficients) at the
+    screen point mod p, with i sent to _SCREEN_ROOT."""
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * _SCREEN_POINT + (c[0] + c[1] * _SCREEN_ROOT if type(c) is tuple
+                                      else c)) % _SCREEN_PRIME
+    return acc
+
+
+def screen_image(a: list) -> list | None:
+    """The entries of a FieldElem matrix at the screen point mod p, or None
+    when a denominator vanishes there.  Evaluation is a ring map on the
+    fractions whose denominators do not vanish, so a full `modular_rank` of
+    the image certifies full column rank of the matrix."""
+    p, out = _SCREEN_PRIME, []
+    for row in a:
+        dens = [_at_screen(x.den) if x else 1 for x in row]
+        if not all(dens):
+            return None
+        out.append([_at_screen(x.num) * pow(d, -1, p) % p if x else 0
+                    for x, d in zip(row, dens)])
+    return out
+
+
+def modular_rank(rows, ncols: int) -> int:
+    """Rank of integer rows mod p, the number of pivots of a forward
+    elimination by cross multiplication, as in `_echelonize`; the rows are
+    read, never changed.  On the image of a matrix at the screen point
+    (`_at_screen`, `screen_image`), a full modular rank certifies full rank;
+    a lower one decides nothing."""
+    p = _SCREEN_PRIME
+    work = list(rows)
     r = 0
     for col in range(ncols):
-        piv = next((k for k in range(r, len(work)) if work[k][col]), None)
+        piv = next((k for k in range(r, len(work)) if work[k][col] % p), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
@@ -346,7 +367,7 @@ def _modular_rank(rows, ncols: int, ring) -> int:
         a = prow[col]
         for k in range(r + 1, len(work)):
             f = work[k][col]
-            if f:
+            if f % p:
                 work[k] = [(a * x - f * y) % p for x, y in zip(work[k], prow)]
         r += 1
     return r

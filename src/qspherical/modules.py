@@ -55,10 +55,11 @@ class WeightModule:
     def k_diagonal(self, h) -> list:
         """The diagonal of K_h, q^<h, mu> on each basis vector of weight mu,
         for h in Y or the half lattice (Fraction coordinates)."""
-        key = ("K", tuple(Fraction(x) for x in h))
+        h = tuple(int(x) if x == int(x) else Fraction(x) for x in h)   # ints pair in ints
+        key = ("K", h)
         if key not in self.cache:
-            self.cache[key] = [self.field.q_power(self.datum.pair(key[1], mu))
-                               for mu in self.weights]
+            q_power, pair = self.field.q_power, self.datum.pair
+            self.cache[key] = [q_power(pair(h, mu)) for mu in self.weights]
         return self.cache[key]
 
     def k_matrix(self, h) -> list:
@@ -229,16 +230,22 @@ def build_simple(datum: RootDatum, lam, field: Field,
     symmetric, so rows P span its row space and g[P, P] is nonsingular.
     The radical is quotiented implicitly: a rejected candidate is the
     combination of kept ones given by its column relation in g.
+    Only weights are visited (`_is_weight`).  The Weyl dimension decides the
+    cap before any arithmetic, and the built dimension must equal it.
     """
     lam = tuple(int(x) for x in lam)
     if not datum.is_dominant(lam):
         raise ModuleError(f"{lam} is not dominant")
     n = datum.n
-    w0lam = datum.act_word_X(datum.w0_word(), lam)
-    deficit = datum.X_to_root(tuple(l - w for l, w in zip(lam, w0lam)))
-    if any(x.denominator != 1 or x < 0 for x in deficit):
-        raise ModuleError("highest weight is not above its lowest weight")
-    points = sorted(itertools.product(*(range(int(d) + 1) for d in deficit)),
+    expected_dim = datum.weyl_dim(lam)
+    if expected_dim > dim_cap:
+        raise DimensionCapExceeded(
+            f"dimension cap {dim_cap} exceeded while building L{lam}")
+    deficit, x = [0] * n, lam   # lam - w0 lam: s_i x = x - x_i alpha_i adds x_i to k_i
+    for i in reversed(datum.w0_word()):
+        deficit[i] += x[i]
+        x = datum.reflect_X(i, x)
+    points = sorted(itertools.product(*(range(d + 1) for d in deficit)),
                     key=lambda k: (sum(k), k))
 
     def weight_of(k):
@@ -254,9 +261,9 @@ def build_simple(datum: RootDatum, lam, field: Field,
     f_block = {}   # (i, k) -> matrix of F_i from block k into block k + e_i
     dim = 1
     for k in points[1:]:
-        srcs = {i: src for i in range(n) if (src := step(k, i, -1)) in words}
-        if not srcs:
+        if not _is_weight(datum, k, weight_of(k)):
             continue
+        srcs = {i: src for i in range(n) if (src := step(k, i, -1)) in words}
         # E_j of the candidates, side by side over i, in the basis at k - e_j
         e_cand = {}
         for j, dst in srcs.items():
@@ -277,9 +284,6 @@ def build_simple(datum: RootDatum, lam, field: Field,
         relations = linalg.column_relations(g, len(g), field)
         keep = [a for a in range(len(g)) if a not in relations]
         dim += len(keep)
-        if dim > dim_cap:
-            raise DimensionCapExceeded(
-                f"dimension cap {dim_cap} exceeded while building L{lam}")
         if not keep:
             continue
         gram[k] = [[g[a][b] for b in keep] for a in keep]
@@ -297,6 +301,9 @@ def build_simple(datum: RootDatum, lam, field: Field,
             start += width
             e_block[(i, k)] = [[row[a] for a in keep] for row in e_cand[i]]
 
+    if dim != expected_dim:
+        raise ModuleError(f"L{lam} came out of dimension {dim}, not the "
+                          f"Weyl dimension {expected_dim}")
     offset, weights, word_list, deficits = {}, [], [], []
     for k in points:
         if k in words:
@@ -319,6 +326,20 @@ def build_simple(datum: RootDatum, lam, field: Field,
     grams_by_weight = {weight_of(k): gram[k] for k in offset}
     return SimpleModule(datum, field, lam, weights, place(e_block, -1),
                         place(f_block, 1), grams_by_weight, word_list, deficits)
+
+
+def _is_weight(datum: RootDatum, k, mu) -> bool:
+    """Whether mu = lam - sum k_i alpha_i (k >= 0) is a weight of L(lam), that
+    is, its dominant conjugate mu+ is <= lam.  Reflecting mu at an i with
+    <mu, alpha_i^vee> < 0 adds that pairing to k_i, so k only falls on the
+    way to mu+: fail as soon as some k_i < 0."""
+    k = list(k)
+    while (i := next((i for i, m in enumerate(mu) if m < 0), None)) is not None:
+        k[i] += mu[i]
+        if k[i] < 0:
+            return False
+        mu = datum.reflect_X(i, mu)
+    return True
 
 
 def tensor(m1: WeightModule, m2: WeightModule) -> WeightModule:

@@ -28,20 +28,18 @@ class Parameter:
     def __init__(self, satake: SatakeDatum, c: dict, s: dict | None = None,
                  validate: bool = True):
         self.satake = satake
-        field = None
-        cc = {}
-        for i in satake.I_circ:
-            if i not in c:
-                raise ParameterError(f"missing c value at white node {i}")
-            cc[i] = c[i]
-            field = c[i].field
+        missing = [i for i in satake.I_circ if i not in c]
+        if missing:
+            raise ParameterError(f"missing c value at white node {missing[0]}")
+        # one field for every c and s: the field of the first c
+        field = c[satake.I_circ[0]].field if satake.I_circ else None
+        try:
+            self.c = {i: field.coerce(c[i]) for i in satake.I_circ}
+            self.s = {i: field.coerce((s or {}).get(i, field.zero))
+                      for i in satake.I_circ}
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from exc
         self.field = field
-        self.c = cc
-        ss = {}
-        for i in satake.I_circ:
-            val = (s or {}).get(i, field.zero)
-            ss[i] = field.coerce(val)
-        self.s = ss
         if validate:
             problems = self.membership_violations()
             if problems:

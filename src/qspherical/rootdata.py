@@ -4,9 +4,9 @@ Conventions fixed once and for all: X is the weight lattice in the basis of
 fundamental weights, Y is the coroot lattice in the basis of simple coroots,
 so pairing a Y-vector with an X-vector is the plain dot product.  The
 normalized symmetric form on the root lattice gives short roots length 2.
-Weyl group elements are carried as integer matrices on root coordinates;
-reduced words are always the lexicographically least ones, so every derived
-word is reproducible.
+Weyl group elements are carried as reduced words, always the
+lexicographically least ones, so every derived word is reproducible; a word
+is read off the integer vector w(2 rho) by walking it back to 2 rho.
 """
 
 from __future__ import annotations
@@ -26,21 +26,22 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _mat_mul_int(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
-
-
-def _identity_int(n):
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+def _integer(x, what: str) -> int:
+    """An int, float or Fraction entry of an integer datum as an int; any
+    other type, or a value that is not a whole number, is an error."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+        raise RootDatumError(f"{what} entry {x!r} is not a number")
+    if isinstance(x, float) and not x.is_integer() or x != int(x):
+        raise RootDatumError(f"{what} entry {x!r} is not an integer")
+    return int(x)
 
 
 class RootDatum:
     """A Cartan matrix with symmetrizer and the simply-connected lattices."""
 
     def __init__(self, cartan, symmetrizer):
-        c = tuple(tuple(int(x) for x in row) for row in cartan)
-        d = tuple(int(x) for x in symmetrizer)
+        c = tuple(tuple(_integer(x, "Cartan") for x in row) for row in cartan)
+        d = tuple(_integer(x, "symmetrizer") for x in symmetrizer)
         n = len(c)
         if any(len(row) != n for row in c) or len(d) != n:
             raise RootDatumError("Cartan matrix and symmetrizer sizes disagree")
@@ -64,6 +65,7 @@ class RootDatum:
         self.cartan = c
         self.d = d
         self.n = n
+        self._roots = {}    # positive roots per sorted subset
 
     # -- lattices ------------------------------------------------------------
 
@@ -92,8 +94,9 @@ class RootDatum:
                    for i in range(self.n) for j in range(self.n))
 
     def form_X_root(self, x, a):
-        """(x, beta) for x in X and beta in the root lattice."""
-        return sum(Fraction(a[i]) * self.d[i] * Fraction(x[i]) for i in range(self.n))
+        """(x, beta) for x in X and beta in the root lattice; an int for
+        integral x."""
+        return sum(a[i] * self.d[i] * x[i] for i in range(self.n))
 
     # -- reflections ----------------------------------------------------------
 
@@ -117,15 +120,12 @@ class RootDatum:
         return tuple(v - (c if k == i else 0) for k, v in enumerate(a))
 
     def reflection_matrix_root(self, i: int) -> tuple:
-        cols = [self.reflect_root(i, tuple(1 if k == j else 0 for k in range(self.n)))
-                for j in range(self.n)]
-        return tuple(tuple(cols[c][r] for c in range(self.n)) for r in range(self.n))
+        return self.word_matrix_root((i,))
 
     def word_matrix_root(self, word) -> tuple:
-        m = _identity_int(self.n)
-        for i in word:
-            m = _mat_mul_int(m, self.reflection_matrix_root(i))
-        return m
+        """The matrix on root coordinates of the Weyl element of the word."""
+        return tuple(zip(*(self.act_word_root(word, tuple(int(k == j) for k in range(self.n)))
+                           for j in range(self.n))))
 
     def act_word_root(self, word, a) -> tuple:
         """Apply s_{i1}...s_{ik}, leftmost letter outermost."""
@@ -151,8 +151,15 @@ class RootDatum:
 
     # -- roots and the Weyl group ----------------------------------------------
 
-    def positive_roots(self, subset=None) -> list:
-        idx = sorted(subset) if subset is not None else list(range(self.n))
+    def positive_roots(self, subset=None) -> tuple:
+        """The positive roots of the sub-system of a subset (default: all
+        nodes) by height, in root coordinates; computed once per subset."""
+        idx = tuple(sorted(set(range(self.n) if subset is None else subset)))
+        if idx not in self._roots:
+            self._roots[idx] = self._root_closure(idx)
+        return self._roots[idx]
+
+    def _root_closure(self, idx) -> tuple:
         roots = {tuple(1 if k == i else 0 for k in range(self.n)) for i in idx}
         frontier = list(roots)
         while frontier:
@@ -164,26 +171,14 @@ class RootDatum:
                         roots.add(b)
                         nxt.append(b)
             frontier = nxt
-        return sorted(roots, key=lambda a: (sum(a), a))
-
-    @staticmethod
-    def _positive_vec(a) -> bool:
-        return all(v >= 0 for v in a)
+        return tuple(sorted(roots, key=lambda a: (sum(a), a)))
 
     def longest_word(self, subset) -> tuple:
-        """Lexicographically least reduced word of the longest element of W_J."""
-        idx = sorted(set(subset))
-        if not idx:
-            return ()
-        m = _identity_int(self.n)
-        while True:
-            i = next((j for j in idx
-                      if self._positive_vec(tuple(m[r][j] for r in range(self.n)))),
-                     None)
-            if i is None:
-                break
-            m = _mat_mul_int(m, self.reflection_matrix_root(i))
-        return self.word_from_matrix(m)
+        """Lexicographically least reduced word of the longest element w0_J
+        of W_J, which maps 2 rho to 2 rho - 2 (sum of the positive roots of J)."""
+        roots = self.positive_roots(subset)
+        return self.word_from_image(tuple(r - 2 * sum(a[k] for a in roots)
+                                          for k, r in enumerate(self._two_rho)))
 
     @functools.cached_property
     def _two_rho(self) -> tuple:
@@ -191,24 +186,21 @@ class RootDatum:
         roots = self.positive_roots()
         return tuple(sum(a[k] for a in roots) for k in range(self.n))
 
-    def left_descents(self, m) -> tuple:
-        """Left descents of the Weyl element with root-coordinate matrix m:
-        the i with w^-1 alpha_i < 0, that is <w(2 rho), alpha_i^vee> < 0."""
-        w_rho = [_dot(row, self._two_rho) for row in m]
-        return tuple(i for i in range(self.n) if _dot(self.cartan[i], w_rho) < 0)
+    def left_descents(self, y) -> tuple:
+        """Left descents of the Weyl element w with w(2 rho) = y (root
+        coordinates): the i with w^-1 alpha_i < 0, that is <y, alpha_i^vee> < 0."""
+        return tuple(i for i in range(self.n) if _dot(self.cartan[i], y) < 0)
 
-    def word_from_matrix(self, m) -> tuple:
-        """Lexicographically least reduced word, by peeling least left descents."""
+    def word_from_image(self, y) -> tuple:
+        """Lexicographically least reduced word of the w with w(2 rho) = y:
+        peel the least left descent i and walk y to s_i y, until y = 2 rho."""
         out = []
-        ident = _identity_int(self.n)
-        guard = len(self.positive_roots()) + 1
-        while m != ident:
-            i = self.left_descents(m)[0]
-            out.append(i)
-            m = _mat_mul_int(self.reflection_matrix_root(i), m)
-            guard -= 1
-            if guard < 0:
-                raise RootDatumError("word extraction failed to terminate")
+        while y != self._two_rho:
+            descents = self.left_descents(y)
+            if not descents:
+                raise RootDatumError(f"{y} is not a Weyl image of 2 rho")
+            out.append(descents[0])
+            y = self.reflect_root(descents[0], y)
         return tuple(out)
 
     # -- standard vectors -------------------------------------------------------
@@ -242,16 +234,17 @@ class RootDatum:
         return all(v >= 0 for v in lam)
 
     def weyl_dim(self, lam) -> int:
-        """Weyl dimension formula; independent of any module construction."""
-        num = Fraction(1)
+        """Weyl dimension formula, in ints; independent of any module
+        construction."""
         rho = self.rho()
+        lam_rho = tuple(l + r for l, r in zip(lam, rho))
+        top = bot = 1
         for a in self.positive_roots():
-            top = self.form_X_root(tuple(l + r for l, r in zip(lam, rho)), a)
-            bot = self.form_X_root(rho, a)
-            num *= Fraction(top, bot)
-        if num.denominator != 1:
+            top *= self.form_X_root(lam_rho, a)
+            bot *= self.form_X_root(rho, a)
+        if top % bot:
             raise RootDatumError("Weyl dimension did not come out integral")
-        return int(num)
+        return top // bot
 
     def w0_word(self) -> tuple:
         return self._w0_word
@@ -266,8 +259,8 @@ class SatakeDatum:
 
     def __init__(self, datum: RootDatum, black, tau):
         self.datum = datum
-        self.black = frozenset(int(j) for j in black)
-        self.tau = tuple(int(t) for t in tau)
+        self.black = frozenset(_integer(j, "black") for j in black)
+        self.tau = tuple(_integer(t, "tau") for t in tau)
         n = datum.n
         if sorted(self.tau) != list(range(n)):
             raise RootDatumError("tau must be a permutation of the index set")
@@ -281,6 +274,7 @@ class SatakeDatum:
         self.rho_black = datum.rho_of(self.black)
         self.rho_black_vee = datum.rho_vee_of(self.black)
         self.w0 = datum.w0_word()
+        self._cache = {}    # relative reflections per white node, as words and matrices
 
     # -- the involution ---------------------------------------------------------
 
@@ -371,14 +365,17 @@ class SatakeDatum:
         return tuple(out)
 
     def relative_generator(self, i: int) -> tuple:
-        """Reduced word for the relative reflection attached to a white node."""
+        """Reduced word for the relative reflection w_J w_black^-1 attached to
+        a white node i, J = black + {i, tau(i)}; read off the image of 2 rho."""
         if i not in self.I_circ:
             raise RootDatumError(f"index {i} is not a white node")
-        sub = set(self.black) | {i, self.tau[i]}
-        w_j = self.datum.word_matrix_root(self.datum.longest_word(sub))
-        w_b_inv = self.datum.word_matrix_root(tuple(reversed(self.w_black)))
-        m = _mat_mul_int(w_j, w_b_inv)
-        return self.datum.word_from_matrix(m)
+        if ("word", i) not in self._cache:
+            datum = self.datum
+            word = (datum.longest_word(set(self.black) | {i, self.tau[i]})
+                    + tuple(reversed(self.w_black)))
+            self._cache["word", i] = datum.word_from_image(
+                datum.act_word_root(word, datum._two_rho))
+        return self._cache["word", i]
 
     def relative_orbit_representatives(self) -> tuple:
         seen, out = set(), []
@@ -406,16 +403,17 @@ class SatakeDatum:
 
     def relative_weyl_matrix_on_y_theta(self, i: int) -> tuple:
         """Matrix of the relative reflection on the fixed Y_Theta basis."""
-        basis = self.y_theta_basis()
+        if ("matrix", i) in self._cache:
+            return self._cache["matrix", i]
         word = self.relative_generator(i)
         cols = []
-        for b in basis:
+        for b in self.y_theta_basis():
             sol = self.y_theta_coords(self.datum.act_word_Y(word, b))
             if sol is None or any(s.denominator != 1 for s in sol):
                 raise RootDatumError("relative reflection does not preserve Y_Theta")
-            cols.append([int(s) for s in sol])
-        k = len(basis)
-        return tuple(tuple(cols[c][r] for c in range(k)) for r in range(k))
+            cols.append(tuple(int(s) for s in sol))
+        self._cache["matrix", i] = tuple(zip(*cols))
+        return self._cache["matrix", i]
 
 
 def _positive_definite(m) -> bool:
@@ -583,7 +581,7 @@ def satake_from_config(cfg: dict) -> SatakeDatum:
     try:
         cartan = cfg["cartan"]
         sym = cfg["symmetrizer"]
-        black = [int(j) - 1 for j in cfg.get("black", [])]
+        black = [_integer(j, "black") - 1 for j in cfg.get("black", [])]
         tau_raw = cfg.get("tau")
     except (KeyError, TypeError) as exc:
         raise RootDatumError(f"bad Satake config: {exc}") from exc
@@ -591,5 +589,5 @@ def satake_from_config(cfg: dict) -> SatakeDatum:
     if tau_raw is None:
         tau = tuple(range(datum.n))
     else:
-        tau = tuple(int(t) - 1 for t in tau_raw)
+        tau = tuple(_integer(t, "tau") - 1 for t in tau_raw)
     return SatakeDatum(datum, black, tau)

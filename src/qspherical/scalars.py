@@ -674,6 +674,8 @@ class Field:
 
     def q_power(self, e) -> "FieldElem":
         """q**e for a rational exponent e, if representable at this root order."""
+        if type(e) is int:
+            return self.v_power(e * self.root_order)
         e = Fraction(e)
         m = e * self.root_order
         if m.denominator != 1:

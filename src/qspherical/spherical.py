@@ -15,7 +15,7 @@ from . import linalg
 from .braid import Operator, lusztig_T_word
 from .modules import ModuleVector, SimpleModule, act_Kh, act_matrix
 from .qsp import CoidealGenerators
-from .rootdata import SatakeDatum, _identity_int, _mat_mul_int
+from .rootdata import SatakeDatum
 
 
 class SphericalError(Exception):
@@ -111,14 +111,12 @@ def _restrict(coeff: MatrixCoefficient, basis) -> TorusFunction:
 
 def weyl_act(word, t: TorusFunction, satake: SatakeDatum) -> TorusFunction:
     """Transport by the relative Weyl element of the word of white nodes."""
-    k = len(t.basis)
-    mat = _identity_int(k)
-    for i in word:
-        mat = _mat_mul_int(mat, satake.relative_weyl_matrix_on_y_theta(i))
+    mats = [satake.relative_weyl_matrix_on_y_theta(i) for i in word]
     data = {}
     for key, val in t.data.items():
-        newkey = tuple(sum(mat[r][c] * key[r] for r in range(k)) for c in range(k))
-        data[newkey] = data.get(newkey, t.field.zero) + val
+        for mat in mats:    # the row vector key times each matrix in turn
+            key = tuple(sum(x * y for x, y in zip(key, col)) for col in zip(*mat))
+        data[key] = data.get(key, t.field.zero) + val
     return TorusFunction(t.basis, data, t.field)
 
 

@@ -83,18 +83,15 @@ def test_word_independence_randomized(modules):
     rng = random.Random(17)
     m = modules("A", 2, (1, 1))
     datum = m.datum
-    ident = tuple(tuple(1 if r == c else 0 for c in range(datum.n))
-                  for r in range(datum.n))
+    two_rho = tuple(sum(col) for col in zip(*datum.positive_roots()))
 
     def random_reduced_word():
-        mat = datum.word_matrix_root(datum.w0_word())
+        y = datum.act_word_root(datum.w0_word(), two_rho)    # w0(2 rho)
         word = []
-        while mat != ident:
-            i = rng.choice(datum.left_descents(mat))
+        while y != two_rho:
+            i = rng.choice(datum.left_descents(y))
             word.append(i)
-            mat = tuple(tuple(sum(datum.reflection_matrix_root(i)[r][k] * mat[k][c]
-                                  for k in range(datum.n))
-                              for c in range(datum.n)) for r in range(datum.n))
+            y = datum.reflect_root(i, y)
         return tuple(word)
 
     reference = lusztig_T_word(datum.w0_word(), -1, "prime", m)

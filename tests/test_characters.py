@@ -310,3 +310,70 @@ def test_dual_lines_touch_no_gram_block(key, modules, params, monkeypatch):
     f = dual_spherical_vector(m, gens, line.character.b_values, m.lam)
     assert m.shapovalov(f, line.vector)
     assert m.shapovalov(find_dual_spherical(line, gens), line.vector) == m.field.one
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=lambda p: p.stem)
+def test_screen_only_drops_candidates_without_a_line(path):
+    # soundness of the candidate screen: a candidate it drops has an empty
+    # exact joint kernel, for every candidate of every config weight; and at
+    # the fixed screen point it drops every candidate without a line
+    import itertools
+    from qspherical.characters import (_black_rows, _candidate_values,
+                                       _joint_kernel, _screen, _screened_out,
+                                       _torus_support)
+    from qspherical.qsp import distinguished_parameter
+    from qspherical.rootdata import satake_from_config
+    satake = satake_from_config(json.loads(path.read_text()))
+    datum = satake.datum
+    par = distinguished_parameter(satake, F)
+    nodes = sorted(satake.I_circ)
+    dropped = lineless = 0
+    for lam in CONFIG_WEIGHTS[path.stem]:
+        m = build_simple(datum, lam, F)
+        gens = coideal_generators(par, m)
+        support = _torus_support(m, gens, lam)
+        base = _black_rows(m, gens, support)
+        screen = _screen(base, gens.B, support)
+        w0lam = datum.act_word_X(datum.w0_word(), lam)
+        values = [_candidate_values(par, i, int(lam[i] - w0lam[i]))
+                  if i in satake.I_ns else [(F.zero, None)] for i in nodes]
+        for combo in itertools.product(*values):
+            vals = {i: v for i, (v, _) in zip(nodes, combo)}
+            kernel = _joint_kernel(m, base, gens.B, vals, support)
+            screened = _screened_out(screen, vals, support)
+            assert not (screened and kernel)
+            dropped += screened
+            lineless += not kernel
+    assert dropped == lineless
+
+
+def test_screen_falls_back_when_a_denominator_vanishes(modules, aiii3_sl4, params,
+                                                       monkeypatch):
+    import types
+    import qspherical.characters as characters
+    from qspherical.characters import (_black_rows, _screen, _screened_out,
+                                       _torus_support)
+    m = modules("A", 3, (0, 1, 0))
+    par = params["aiii3_sl4"]
+    gens = coideal_generators(par, m)
+    support = _torus_support(m, gens, m.lam)
+    base = _black_rows(m, gens, support)
+    screen = _screen(base, gens.B, support)
+    # q^7 is no eigenvalue: the screen drops it
+    wrong = {i: F.q ** 7 for i in gens.B}
+    assert _screened_out(screen, wrong, support)
+    # 1/(v - t) has no value at the screen point v = t
+    i = min(gens.B)
+    pole = (F.v - F.rational(la._SCREEN_POINT)).inverse()
+    assert not _screened_out(screen, {**wrong, i: pole}, support)
+    mat = [list(row) for row in gens.B[i].mat]
+    mat[0][support[0]] = pole
+    white = {**gens.B, i: types.SimpleNamespace(mat=mat)}
+    assert _screen(base, white, support) is None
+    assert not _screened_out(None, wrong, support)
+    # with the screen off, the exact path finds the same lines
+    lines = find_spherical_lines(m, gens, par)
+    monkeypatch.setattr(characters, "_screen", lambda *args: None)
+    exact = find_spherical_lines(m, gens, par)
+    assert [ln.vector for ln in exact] == [ln.vector for ln in lines]
+    assert [ln.character for ln in exact] == [ln.character for ln in lines]

@@ -187,6 +187,29 @@ def test_cartan_matrix_not_of_finite_type(tmp_path, capsys, cartan):
     assert "not of finite type" in report["error"]["detail"]
 
 
+@pytest.mark.parametrize("config,detail", [
+    ({"cartan": [[2]], "symmetrizer": [1.5], "tau": [1.0]}, "not an integer"),
+    ({"cartan": [[2.5]], "symmetrizer": [1]}, "not an integer"),
+    ({"cartan": [["2"]], "symmetrizer": [1]}, "not a number"),
+    ({"cartan": [[2]], "symmetrizer": [1], "black": [True]}, "not a number"),
+    ({"cartan": [[2]], "symmetrizer": [1], "tau": [1.5]}, "not an integer"),
+], ids=["half-symmetrizer", "half-cartan", "string-cartan", "bool-black", "half-tau"])
+def test_non_integral_config_entry_is_input_error(tmp_path, capsys, config, detail):
+    # int() truncated 1.5 to 1, and the module check ran with exit 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["module", "--config", str(path), "--weight", "1"]) == EXIT_INPUT_ERROR
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["code"] == "input"
+    assert detail in report["error"]["detail"]
+
+
+def test_integral_float_config_entries_are_read(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cartan": [[2.0]], "symmetrizer": [1.0], "tau": [1.0]}))
+    assert main(["module", "--config", str(path), "--weight", "1"]) == EXIT_PASS
+
+
 def test_invariance_builds_each_module_once(ai1_config, monkeypatch):
     built, solved = [], []
     build, solve = cli.build_simple, quasik._solve_intertwiner

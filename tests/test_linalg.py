@@ -180,7 +180,7 @@ def test_invert_skips_the_modular_screen(monkeypatch):
 
     q = F.q
     a = [[F.one, q], [F.zero, q * q]]
-    monkeypatch.setattr(la, "_modular_rank", fail)
+    monkeypatch.setattr(la, "modular_rank", fail)
     assert la.mat_eq(la.mat_mul(a, la.invert(a)), la.identity(2, F))
 
 
@@ -231,7 +231,7 @@ def test_modular_rank_only_certifies(case):
     # and then both find the same pivots
     a, ncols = case
     rows, ring = la._integer_rows(a)
-    screen = la._modular_rank(rows, ncols, ring)
+    screen = la.modular_rank([[la._at_screen(p) for p in row] for row in rows], ncols)
     echelon = [list(row) for row in rows]
     pivots = la._echelonize(echelon, ncols, ring)
     assert screen <= len(pivots)
@@ -245,6 +245,6 @@ def test_modular_rank_drops_at_a_root():
     root = F.v_power(1) - F.rational(987654323 % la._SCREEN_PRIME)
     a = [[root, F.zero], [F.zero, F.one]]
     rows, ring = la._integer_rows(a)
-    assert la._modular_rank(rows, 2, ring) == 1
+    assert la.modular_rank([[la._at_screen(p) for p in row] for row in rows], 2) == 1
     assert la._echelonize([list(row) for row in rows], 2, ring) == [0, 1]
     assert la.column_relations(a, 2, F) == {}

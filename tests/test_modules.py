@@ -269,3 +269,60 @@ def test_torus_relations_see_a_generator_of_the_wrong_weight(monkeypatch):
     problems = [p for p in check_defining_relations(m) if p.startswith("K_")]
     assert problems == [f"K_{i} {x}_0 K_{i}^-1 has the wrong scalar"
                         for i in (0, 1) for x in "EF"]
+
+
+CONFIG_DIR = __import__("pathlib").Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_weight_test_matches_an_unskipped_build(path, monkeypatch):
+    # oracle: with the weight test answering True everywhere, the build
+    # visits every point of the deficit box, and the points whose blocks
+    # come out nonzero are exactly the ones the weight test accepts
+    import itertools
+    import json
+    import qspherical.modules as modules
+    from qspherical.rootdata import satake_from_config
+    datum = satake_from_config(json.loads(path.read_text())).datum
+    is_weight = modules._is_weight
+    skipped = 0
+    for lam in itertools.product(range(3), repeat=datum.n):
+        if sum(lam) > 2:
+            continue
+        seen = {}
+
+        def accept_all(datum_, k, mu):
+            seen[tuple(k)] = is_weight(datum_, k, mu)
+            return True
+
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "_is_weight", accept_all)
+            full = build_simple(datum, lam, F)
+        nonzero = set(full.deficits) - {(0,) * datum.n}
+        assert {k for k, ok in seen.items() if ok} == nonzero
+        skipped += len(seen) - len(nonzero)
+        m = build_simple(datum, lam, F)
+        assert (m.weights, m.words, m.deficits) == (full.weights, full.words, full.deficits)
+        for i in range(datum.n):
+            assert la.mat_eq(m.e_mats[i], full.e_mats[i])
+            assert la.mat_eq(m.f_mats[i], full.f_mats[i])
+    if datum.n > 1:
+        assert skipped
+
+
+def test_dimension_cap_is_decided_before_any_arithmetic(monkeypatch):
+    # L(2,2) of sl3 has dimension 27
+    def fail(*args, **kwargs):
+        raise AssertionError("exact arithmetic before the dimension cap")
+
+    monkeypatch.setattr(la, "column_relations", fail)
+    monkeypatch.setattr(la, "mat_mul", fail)
+    with pytest.raises(DimensionCapExceeded, match="dimension cap 26"):
+        build_simple(root_datum("A", 2), (2, 2), F, dim_cap=26)
+
+
+def test_build_certifies_the_weyl_dimension(monkeypatch):
+    datum = root_datum("A", 2)
+    monkeypatch.setattr(datum, "weyl_dim", lambda lam: 9)
+    with pytest.raises(ModuleError, match="Weyl dimension 9"):
+        build_simple(datum, (1, 1), F)

@@ -29,6 +29,21 @@ def test_membership_conditions(ai1, aiii3_sl4, aii3):
     assert not ok.is_standard()
 
 
+def test_parameter_takes_one_field(aiii_sl3, ai1):
+    # each c was kept as given and the field came from the last one, so a
+    # root-order-2 c sat in a parameter of root order 4
+    with pytest.raises(ParameterError, match="root orders"):
+        Parameter(aiii_sl3, {0: Field(2).q, 1: Field(4).q}, validate=False)
+    with pytest.raises(ParameterError, match="root orders"):
+        Parameter(ai1, {0: Field(2).q}, {0: Field(4).q})
+    # equal root orders: every c and s lands in the field of the first c
+    f4 = Field(4)
+    param = Parameter(aiii_sl3, {0: f4.q, 1: Field(4).q}, validate=False)
+    assert param.field.root_order == 4
+    assert all(c.field == param.field for c in param.c.values())
+    assert all(s.field == param.field for s in param.s.values())
+
+
 def test_distinguished_values(ai1, aiii_sl3, aii3):
     # derived from the root datum: (alpha, alpha - Theta alpha) is 4 for the
     # split rank one, 1 for the quasi-split sl3 pair, 2 for the black sl4 one

@@ -1,3 +1,6 @@
+import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -6,7 +9,10 @@ import sympy
 
 from qspherical.rootdata import (RANK_ONE_TYPES, RootDatum, RootDatumError,
                                  SatakeDatum, rank_one_satake, root_datum,
-                                 satake_from_config, table1_constants)
+                                 _tau_from_black, satake_from_config,
+                                 table1_constants)
+
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 def weyl_enumeration(datum, subset):
@@ -28,6 +34,103 @@ def weyl_enumeration(datum, subset):
                     nxt.append(prod)
         frontier = nxt
     return words
+
+
+def matrix_peel(datum, m):
+    """The lexicographically least reduced word of the Weyl element with
+    root-coordinate matrix m, by the matrix peel: take the least i with
+    <m(2 rho), alpha_i^vee> < 0 and replace m by s_i m, until m = 1."""
+    two_rho = [sum(col) for col in zip(*datum.positive_roots())]
+    ident = datum.word_matrix_root(())
+    word = []
+    while m != ident:
+        y = [sum(a * b for a, b in zip(row, two_rho)) for row in m]
+        i = next(i for i in range(datum.n)
+                 if sum(c * x for c, x in zip(datum.cartan[i], y)) < 0)
+        word.append(i)
+        s = datum.reflection_matrix_root(i)
+        m = tuple(tuple(sum(s[r][k] * m[k][c] for k in range(datum.n))
+                        for c in range(datum.n)) for r in range(datum.n))
+    return tuple(word)
+
+
+def matrix_longest(datum, subset):
+    """The matrix of the longest element of W_J: multiply by s_i on the
+    right while some simple root of J still maps to a positive root."""
+    m = datum.word_matrix_root(())
+    while True:
+        i = next((j for j in sorted(subset)
+                  if all(m[r][j] >= 0 for r in range(datum.n))), None)
+        if i is None:
+            return m
+        s = datum.reflection_matrix_root(i)
+        m = tuple(tuple(sum(m[r][k] * s[k][c] for k in range(datum.n))
+                        for c in range(datum.n)) for r in range(datum.n))
+
+
+def two_rho_image(datum, m):
+    """m(2 rho) in root coordinates."""
+    two_rho = [sum(col) for col in zip(*datum.positive_roots())]
+    return tuple(sum(a * b for a, b in zip(row, two_rho)) for row in m)
+
+
+G2 = RootDatum(((2, -1), (-3, 2)), (3, 1))
+WALK_DATA = [root_datum("A", n) for n in range(1, 5)] + [
+    root_datum("B", 2), root_datum("B", 3), root_datum("C", 3), root_datum("D", 4),
+    G2, root_datum("F", 4)]
+
+
+@pytest.mark.parametrize("datum", WALK_DATA, ids=lambda d: str(d.cartan))
+def test_weyl_walks_match_the_matrix_peel(datum):
+    # w0_J for every subset J, read off w0_J(2 rho), against the matrix loop
+    # and the matrix peel
+    for size in range(datum.n + 1):
+        for subset in itertools.combinations(range(datum.n), size):
+            m = matrix_longest(datum, subset)
+            assert datum.longest_word(subset) == matrix_peel(datum, m)
+            assert datum.word_from_image(two_rho_image(datum, m)) == matrix_peel(datum, m)
+    # the relative reflection w_J w_black^-1 of every white node of every
+    # admissible pair with the identity on white nodes
+    for size in range(datum.n):
+        for black in itertools.combinations(range(datum.n), size):
+            satake = SatakeDatum(datum, black, _tau_from_black(datum, black))
+            if not satake.is_admissible():
+                continue
+            w_b_inv = datum.word_matrix_root(tuple(reversed(satake.w_black)))
+            for i in satake.I_circ:
+                w_j = matrix_longest(datum, set(black) | {i, satake.tau[i]})
+                m = tuple(tuple(sum(w_j[r][k] * w_b_inv[k][c] for k in range(datum.n))
+                                for c in range(datum.n)) for r in range(datum.n))
+                assert satake.relative_generator(i) == matrix_peel(datum, m)
+
+
+def _config_satakes():
+    out = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        out.append(satake_from_config(json.loads(path.read_text())))
+    for label in RANK_ONE_TYPES:
+        out += [rank_one_satake(label, n)[0] for n in (None, 2, 3, 4, 5)
+                if _rank_one_ok(label, n)]
+    return out
+
+
+def _rank_one_ok(label, n):
+    try:
+        rank_one_satake(label, n)
+    except RootDatumError:
+        return False
+    return True
+
+
+def test_relative_generators_of_configs_match_the_matrix_peel():
+    for satake in _config_satakes():
+        datum = satake.datum
+        w_b_inv = datum.word_matrix_root(tuple(reversed(satake.w_black)))
+        for i in satake.I_circ:
+            w_j = matrix_longest(datum, set(satake.black) | {i, satake.tau[i]})
+            m = tuple(tuple(sum(w_j[r][k] * w_b_inv[k][c] for k in range(datum.n))
+                            for c in range(datum.n)) for r in range(datum.n))
+            assert satake.relative_generator(i) == matrix_peel(datum, m)
 
 
 def test_reflections():
@@ -54,7 +157,7 @@ def test_longest_words_against_enumeration():
         m = datum.word_matrix_root(word)
         longest = [mat for mat, w in words.items() if len(w) == maxlen]
         assert longest == [m]
-        assert datum.word_from_matrix(m) == word
+        assert matrix_peel(datum, m) == word
 
 
 @pytest.mark.parametrize("family,rank,order", [("A", 3, 24), ("B", 3, 48)])
@@ -68,8 +171,8 @@ def test_left_descents_against_inverse_images(family, rank, order):
         inv = datum.word_matrix_root(tuple(reversed(word)))
         expected = tuple(i for i in range(rank)
                          if any(inv[r][i] < 0 for r in range(rank)))
-        assert datum.left_descents(m) == expected
-        reduced = datum.word_from_matrix(m)
+        assert datum.left_descents(two_rho_image(datum, m)) == expected
+        reduced = datum.word_from_image(two_rho_image(datum, m))
         assert len(reduced) == len(word)
         assert datum.word_matrix_root(reduced) == m
 
