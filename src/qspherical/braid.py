@@ -296,17 +296,14 @@ def _monomial_roots(a: dict, field) -> dict:
 
 def rescaled_T(i: int, param, module: SimpleModule) -> Operator:
     """Rescaled braid operator attached to a balanced parameter: the twist by
-    bar(c_distinguished) * c applied to the composite operator of the relative
-    reflection, as the chain phi^-1 T'_w phi of the diagonal phi and the
-    composite."""
-    from .qsp import distinguished_parameter
+    a_j = bar(c_distinguished,j) c_j = -q^delta_j c_j applied to the composite
+    operator of the relative reflection, as the chain phi^-1 T'_w phi of the
+    diagonal phi and the composite."""
     satake = param.satake
     if not param.is_balanced():
         raise OperatorError("rescaled operators need a balanced parameter")
-    cdist = distinguished_parameter(satake, module.field)
-    a = {}
-    for j in satake.I_circ:
-        a[j] = cdist.c[j].bar() * param.c[j]
+    q_power = module.field.q_power
+    a = {j: -q_power(satake.constants(j).delta) * param.c[j] for j in satake.I_circ}
     # T'_{w,-1} as the inverse of T''_{w^-1,+1}: the double-prime factors,
     # which the inverse applies, are built now, the prime ones on first use
     word = satake.relative_generator(i)

@@ -84,13 +84,10 @@ class Parameter:
             self.c[i] == self.c[self.satake.tau[i]] for i in self.satake.I_circ)
 
     def _uniform_rhs(self, i: int) -> FieldElem:
-        satake = self.satake
-        datum = satake.datum
-        field = self.field
-        sign = (-1) ** _even_int(2 * _pair_rho_vee(satake, i))
-        expo = _uniform_exponent(satake, i)
-        rhs = field.q_power(-expo) * self.c[satake.tau[i]].bar()
-        return rhs if sign == 1 else -rhs
+        """(-1)^c2 q^(-e_i) bar(c_tau(i)), with the constants of node i."""
+        const = self.satake.constants(i)
+        rhs = self.field.q_power(-const.e) * self.c[self.satake.tau[i]].bar()
+        return rhs if const.sign == 1 else -rhs
 
     def is_uniform(self) -> bool:
         return all(self.c[i] == self._uniform_rhs(i) for i in self.satake.I_circ)
@@ -99,13 +96,23 @@ class Parameter:
         return (self.c[i] == self._uniform_rhs(i)
                 and self.c[self.satake.tau[i]] == self._uniform_rhs(self.satake.tau[i]))
 
+    def uniform_image(self, i: int) -> "Parameter":
+        """c with c_i and c_tau(i) replaced by their uniform images
+        +-q^(-e) bar(c_tau(i)); the parameter itself when it is uniform at i."""
+        if self.uniform_at(i):
+            return self
+        ti = self.satake.tau[i]
+        c = dict(self.c)
+        c[i], c[ti] = self._uniform_rhs(i), self._uniform_rhs(ti)
+        return Parameter(self.satake, c, self.s)
+
     def is_admissible(self) -> bool:
         if not self.is_balanced():
             return False
         for i in self.satake.I_circ:
             if self.c[i].bar() != self.c[i].inverse():
                 return False
-            expo = _uniform_exponent(self.satake, i)
+            expo = self.satake.constants(i).e
             if self.c[i] != self.field.q_power(-expo) * self.c[self.satake.tau[i]].bar():
                 return False
         return True
@@ -137,40 +144,11 @@ class Parameter:
         return f"Parameter({cs}{'; ' + ss if ss else ''})"
 
 
-def _pair_rho_vee(satake: SatakeDatum, i: int) -> Fraction:
-    """<rho_black_vee, alpha_i>."""
-    return satake.datum.pair(satake.rho_black_vee, satake.datum.alpha_in_X(i))
-
-
-def _even_int(x: Fraction) -> int:
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ParameterError(f"expected an integer, got {f}")
-    return int(f)
-
-
-def _uniform_exponent(satake: SatakeDatum, i: int) -> Fraction:
-    """(alpha_i, w_black alpha_tau(i) + 2 rho_black)."""
-    datum = satake.datum
-    ai = tuple(1 if k == i else 0 for k in range(datum.n))
-    at = tuple(1 if k == satake.tau[i] else 0 for k in range(datum.n))
-    moved = datum.act_word_root(satake.w_black, at)
-    val = Fraction(datum.form_roots(ai, moved))
-    two_rho = tuple(2 * r for r in satake.rho_black)
-    val += datum.form_X_root(two_rho, ai)
-    return val
-
-
 def distinguished_parameter(satake: SatakeDatum, field: Field) -> Parameter:
-    """The balanced parameter -q^(-(alpha_i, alpha_i - Theta alpha_i)/2)."""
-    datum = satake.datum
-    c = {}
-    for i in satake.I_circ:
-        ai = tuple(1 if k == i else 0 for k in range(datum.n))
-        diff = tuple(a - t for a, t in zip(ai, satake.theta_on_root(ai)))
-        expo = Fraction(datum.form_roots(ai, diff), 2)
-        c[i] = -field.q_power(-expo)
-    return Parameter(satake, c)
+    """The balanced parameter c_i = -q^(-delta_i),
+    delta_i = (alpha_i, alpha_i - Theta alpha_i)/2."""
+    return Parameter(satake, {i: -field.q_power(-satake.constants(i).delta)
+                              for i in satake.I_circ})
 
 
 # -- coideal generators on modules ---------------------------------------------
@@ -298,16 +276,15 @@ def chi_shift_coideal(param: Parameter, chi, satake: SatakeDatum | None = None) 
     d, t = {}, {}
     for i in satake.I_circ:
         qi = datum.d[i]
-        sign = (-1) ** _even_int(2 * _pair_rho_vee(satake, i))
+        const = satake.constants(i)
         ktor = chi.torus_value(tuple(
             datum.d[i] * (1 if k == i else 0)
             - datum.d[satake.tau[i]] * (1 if k == satake.tau[i] else 0)
             for k in range(datum.n)))
-        two_rho_pair = 2 * Fraction(satake.rho_black[i])   # <alpha_i^vee, 2 rho_black>
+        # q_i^(-<alpha_i^vee, 2 rho_black>) q_i^(a_ii) = q^c3 q^c1
         val = (param.c[i] * ktor
-               * field.q_power(-qi * two_rho_pair)
-               * field.q_power(Fraction(qi * datum.cartan[i][i])))
-        d[i] = val if sign == 1 else -val
+               * field.q_power(const.c3) * field.q_power(const.c1))
+        d[i] = val if const.sign == 1 else -val
         if i in satake.I_ns:
             li = chi.labels.get(i)
             if li is None:

@@ -27,7 +27,6 @@ from . import linalg
 from .braid import Operator, rescaled_T
 from .modules import ModuleVector, SimpleModule
 from .qsp import (CoidealGenerators, Parameter, ParameterError,
-                  _uniform_exponent, _pair_rho_vee, _even_int,
                   coideal_generators, twist_parameter)
 from .characters import SphericalLine, line_character_values
 from .scalars import UnrepresentableScalar
@@ -55,17 +54,6 @@ class QuasiKOnModule:
                    for idxs in self.module.blocks.values() for r in idxs for c in idxs)
 
 
-def _uniform_image(i: int, param: Parameter) -> Parameter:
-    """c with c_i and c_tau(i) replaced by their uniform images
-    +-q^(-e) bar(c_tau(i)); c itself when it is uniform at i."""
-    if param.uniform_at(i):
-        return param
-    ti = param.satake.tau[i]
-    c = dict(param.c)
-    c[i], c[ti] = param._uniform_rhs(i), param._uniform_rhs(ti)
-    return Parameter(param.satake, c, param.s)
-
-
 def _subdiagram_torus(i: int, satake) -> list:
     """The torus generators h of the coideal supported on the rank-one
     subdiagram: on the black nodes and on i and tau(i)."""
@@ -87,7 +75,7 @@ def _rank_one_generators(i: int, param: Parameter, module: SimpleModule,
     the rank-one subdiagram.
     """
     satake = param.satake
-    right = right or _uniform_image(i, param)
+    right = right or param.uniform_image(i)
     gl = coideal_generators(param, module)
     gr = gl if right is param else coideal_generators(right, module)
     ti = satake.tau[i]
@@ -245,13 +233,12 @@ def _uniform_normal_form(i: int, param: Parameter):
         raise UnrepresentableScalar(
             f"c_{i} = {param.c[i]} is not a monomial; no uniform normal form")
     _, m = mono
-    sign = (-1) ** _even_int(2 * _pair_rho_vee(satake, i))
-    if sign != 1:
+    const = satake.constants(i)
+    if const.sign != 1:
         raise IntertwinerError(
             "no positive monomial twist to a uniform parameter at this node")
-    e = _uniform_exponent(satake, i)
     # target u = gamma q^(-e/2): exponent in v units
-    target_v = -Fraction(e, 2) * field.root_order
+    target_v = -Fraction(const.e, 2) * field.root_order
     if target_v.denominator != 1:
         raise UnrepresentableScalar("uniform normal form needs a finer root of q")
     b = field.v_power(int(target_v) - m)

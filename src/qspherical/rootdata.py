@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import typing
 from fractions import Fraction
 
 from .linalg import integer_kernel_basis
@@ -254,6 +255,22 @@ class RootDatum:
         return self.longest_word(range(self.n))
 
 
+class NodeConstants(typing.NamedTuple):
+    """The rank-one constants of a white node i: the parameter-table
+    integers and the exponents of the uniform and distinguished parameters."""
+    c1: int         # d_i a_ii
+    c2: int         # 2 <rho_black_vee, alpha_i>
+    c3: int         # -2 d_i <rho_black, alpha_i^vee>
+    c4: int         # (rho, alpha_i - Theta alpha_i)
+    e: int          # uniform exponent (alpha_i, w_black alpha_tau(i) + 2 rho_black)
+    delta: Fraction     # distinguished exponent (alpha_i, alpha_i - Theta alpha_i) / 2
+
+    @property
+    def sign(self) -> int:
+        """The uniform sign (-1)^c2."""
+        return -1 if self.c2 % 2 else 1
+
+
 class SatakeDatum:
     """A root datum with a chosen admissible pair: black nodes and involution."""
 
@@ -274,7 +291,7 @@ class SatakeDatum:
         self.rho_black = datum.rho_of(self.black)
         self.rho_black_vee = datum.rho_vee_of(self.black)
         self.w0 = datum.w0_word()
-        self._cache = {}    # relative reflections per white node, as words and matrices
+        self._cache = {}    # per white node: rank-one constants, relative reflections
 
     # -- the involution ---------------------------------------------------------
 
@@ -315,12 +332,10 @@ class SatakeDatum:
             if datum.negated_simple(self.w_black, j) != self.tau[j]:
                 problems.append(("(ii)", f"tau on black node {j} differs from -w_black"))
         for i in self.I_circ:
-            if self.tau[i] == i:
-                val = sum(Fraction(self.rho_black_vee[k]) * datum.alpha_in_X(i)[k]
-                          for k in range(datum.n))
-                if val.denominator != 1:
-                    problems.append(
-                        ("(iii)", f"<rho_black_vee, alpha_{i}> = {val} is not integral"))
+            c2 = self.constants(i).c2
+            if self.tau[i] == i and c2 % 2:
+                problems.append(("(iii)", f"<rho_black_vee, alpha_{i}> = "
+                                          f"{Fraction(c2, 2)} is not integral"))
         return problems
 
     def is_admissible(self) -> bool:
@@ -363,6 +378,26 @@ class SatakeDatum:
             h[j] = self.datum.d[j]
             out.append(tuple(h))
         return tuple(out)
+
+    def constants(self, i: int) -> NodeConstants:
+        """The rank-one constants of a white node i, computed once."""
+        if i not in self.I_circ:
+            raise RootDatumError(f"index {i} is not a white node")
+        if ("constants", i) not in self._cache:
+            datum = self.datum
+            ai = tuple(int(k == i) for k in range(datum.n))
+            at = tuple(int(k == self.tau[i]) for k in range(datum.n))
+            diff = tuple(a - t for a, t in zip(ai, self.theta_on_root(ai)))
+            # 2 rho_black_vee and 2 rho_black are integral
+            c3 = -datum.d[i] * int(2 * self.rho_black[i])
+            # (alpha_i, 2 rho_black) = d_i <2 rho_black, alpha_i^vee> = -c3
+            e = datum.form_roots(ai, datum.act_word_root(self.w_black, at)) - c3
+            self._cache["constants", i] = NodeConstants(
+                datum.d[i] * datum.cartan[i][i],
+                int(2 * datum.pair(self.rho_black_vee, datum.alpha_in_X(i))),
+                c3, datum.form_X_root(datum.rho(), diff),
+                e, Fraction(datum.form_roots(ai, diff), 2))
+        return self._cache["constants", i]
 
     def relative_generator(self, i: int) -> tuple:
         """Reduced word for the relative reflection w_J w_black^-1 attached to
@@ -555,22 +590,7 @@ def rank_one_satake(label: str, n: int | None = None) -> tuple:
 def table1_constants(label: str, n: int | None = None) -> tuple:
     """The four root-datum constants attached to a rank-one type."""
     satake, i = rank_one_satake(label, n)
-    datum = satake.datum
-    alpha_i = datum.alpha_in_X(i)
-    c1 = datum.d[i] * datum.cartan[i][i]
-    c2 = sum(2 * Fraction(satake.rho_black_vee[k]) * alpha_i[k]
-             for k in range(datum.n))
-    c3 = -datum.d[i] * 2 * Fraction(satake.rho_black[i])
-    ai_root = tuple(1 if k == i else 0 for k in range(datum.n))
-    diff = tuple(a - t for a, t in zip(ai_root, satake.theta_on_root(ai_root)))
-    c4 = datum.form_X_root(datum.rho(), diff)
-    out = []
-    for v in (c1, c2, c3, c4):
-        f = Fraction(v)
-        if f.denominator != 1:
-            raise RootDatumError(f"table constant {v} is not integral")
-        out.append(int(f))
-    return tuple(out)
+    return tuple(satake.constants(i)[:4])
 
 
 # -- configuration files -----------------------------------------------------------

@@ -816,13 +816,18 @@ class FieldElem:
         return self._co(other) * self.inverse()
 
     def __pow__(self, n: int):
+        """Square and multiply: at most 2 log2|n| products."""
         if n == 0:
             return self.field.one
         base = self if n > 0 else self.inverse()
-        out = self.field.one
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        n, out = abs(n), None
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     # -- the bar involution ---------------------------------------------
 

@@ -1,13 +1,16 @@
 """The public surface: the exported names and the entry points that the
 benchmark harness traces resolve, so deleting or renaming one fails here."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
 
 import qspherical
 
-SPANS = pathlib.Path(__file__).parent.parent / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "qspherical"
 
 
 def test_all_names_resolve_once():
@@ -34,3 +37,36 @@ def test_traced_entry_points_resolve():
         if not callable(target):
             missing.append(f"{modname}:{attr}")
     assert not missing
+
+
+def _sibling_imports(path, modules) -> set:
+    """The package modules a module imports relatively, at module level or
+    inside a function."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module.split(".")[0]] if node.module
+                       else (alias.name for alias in node.names))
+    return out & modules
+
+
+def test_package_imports_form_no_cycle():
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {p.stem for p in paths}
+    left = {p.stem: _sibling_imports(p, modules) for p in paths}
+    assert left["qsp"] >= {"braid", "rootdata"}
+    # peel modules that import nothing left; what stays imports a cycle
+    while True:
+        leaves = [m for m, deps in left.items() if not deps & left.keys()]
+        if not leaves:
+            break
+        for m in leaves:
+            del left[m]
+    cycle = []
+    if left:
+        # each module left imports one left: walk until a module repeats
+        walk = [min(left)]
+        while walk[-1] not in walk[:-1]:
+            walk.append(min(left[walk[-1]] & left.keys()))
+        cycle = walk[walk.index(walk[-1]):]
+    assert not cycle, "import cycle " + " -> ".join(cycle)

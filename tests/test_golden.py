@@ -59,6 +59,11 @@ CASES = (
          + HALF + _weights("2,1")),
         ("invariance_aiii_sl3_weight22", ["invariance"] + _config("aiii_sl3")
          + HALF + _weights("2,2")),
+        # the transported quasi-K path at dim 9, and the uniform path at dim 64
+        ("invariance_ai1_weight8", ["invariance"] + _config("ai1")
+         + _weights("8")),
+        ("invariance_aiii3_sl4_weight111", ["invariance"] + _config("aiii3_sl4")
+         + SL4 + _weights("1,1,1")),
         # root orders 1 and 4, whose polynomials have exponent strides
         # other than the default's 4 (named apart from the module_* files,
         # whose entries are read back at root order 2)

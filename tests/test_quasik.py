@@ -402,7 +402,7 @@ def test_quasi_k_makes_no_dense_word_product(aiii3_sl4, params, monkeypatch):
     nodes = sorted(aiii3_sl4.I_circ)
     for i in nodes:
         coideal_generators(par, m).B
-        coideal_generators(quasik._uniform_image(i, par), m).B
+        coideal_generators(par.uniform_image(i), m).B
     shapes, residual = [], []
     product, check = la.mat_mul, quasik._residual_zero
 

@@ -192,6 +192,11 @@ def test_satake_validation():
     bad2 = SatakeDatum(root_datum("A", 2), (0,), (0, 1))
     labels2 = {c for c, _ in bad2.validate()}
     assert "(iii)" in labels2 or "(ii)" in labels2
+    # condition (iii) alone: the black node between two fixed white ones
+    bad3 = SatakeDatum(root_datum("A", 3), (1,), (0, 1, 2))
+    assert bad3.validate() == [
+        ("(iii)", "<rho_black_vee, alpha_0> = -1/2 is not integral"),
+        ("(iii)", "<rho_black_vee, alpha_2> = -1/2 is not integral")]
 
 
 def test_theta_involution(aiii3_sl4, aii3):
@@ -279,6 +284,56 @@ def test_table_constants(label, n):
     satake, _ = rank_one_satake(label, n)
     assert satake.is_admissible(), (label, n)
     assert table1_constants(label, n) == TABLE1[(label, n)]
+
+
+# (e_i, delta_i) of the white node of each rank-one type: the uniform
+# exponent (alpha_i, w_black alpha_tau(i) + 2 rho_black) and the
+# distinguished exponent (alpha_i, alpha_i - Theta alpha_i)/2
+EXPONENTS = {
+    ("AI1", None): (2, 2),
+    ("AII3", None): (-2, 1),
+    ("AIII11", None): (0, 1),
+    ("AIV", 2): (-1, Fraction(1, 2)),
+    ("AIV", 3): (-2, Fraction(1, 2)),
+    ("BII", 2): (-2, 2),
+    ("BII", 3): (-6, 2),
+    ("CII", 3): (-4, Fraction(1, 2)),
+    ("CII", 4): (-6, Fraction(1, 2)),
+    ("DII", 4): (-4, 1),
+    ("DII", 5): (-6, 1),
+    ("FII", None): (-10, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("label,n", sorted(EXPONENTS, key=str))
+def test_rank_one_exponents(label, n):
+    satake, i = rank_one_satake(label, n)
+    const = satake.constants(i)
+    assert (const.e, const.delta) == EXPONENTS[(label, n)]
+    assert const.sign == (-1) ** const.c2
+    assert satake.constants(i) is const
+
+
+# the rank-one type of each white node (1-based) of the configs
+CONFIG_TYPES = {
+    "ai1": {1: ("AI1", None)},
+    "aiii_sl3": {1: ("AIV", 2), 2: ("AIV", 2)},
+    "aiii3_sl4": {1: ("AIII11", None), 2: ("AI1", None), 3: ("AIII11", None)},
+    "aii3_sl4": {2: ("AII3", None)},
+    "bii_so5": {1: ("BII", 2)},
+}
+
+
+def test_config_white_nodes_carry_their_table1_rows():
+    from qspherical.cli import TABLE1_EXPECTED
+    assert {p.stem for p in CONFIGS.glob("*.json")} == set(CONFIG_TYPES)
+    for name, types in CONFIG_TYPES.items():
+        satake = satake_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+        assert sorted(i + 1 for i in satake.I_circ) == sorted(types), name
+        for node, row in types.items():
+            const = satake.constants(node - 1)
+            assert const[:4] == TABLE1_EXPECTED[row], (name, node)
+            assert (const.e, const.delta) == EXPONENTS[row], (name, node)
 
 
 def test_rank_one_labels_all_buildable():

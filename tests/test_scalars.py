@@ -63,6 +63,21 @@ def test_bar_substitution_oracle():
     assert sympy.simplify(sympy_of(x.bar()) - expected) == 0
 
 
+def test_power_squares_and_multiplies(monkeypatch):
+    x = F.q + F.rational(2) * F.i
+    for n in range(-9, 10):
+        want = F.one
+        for _ in range(abs(n)):
+            want = want * (x if n > 0 else x.inverse())
+        assert x ** n == want, n
+    calls = []
+    mul = FieldElem.__mul__
+    monkeypatch.setattr(FieldElem, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    big = F.q ** 1000
+    assert len(calls) <= 20
+    assert big == F.v_power(2000)
+
+
 def test_qint_values():
     assert F.qint(0, 1).is_zero()
     assert F.qint(2, 1) == F.q + F.q.inverse()
