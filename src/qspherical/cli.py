@@ -94,6 +94,8 @@ def _load_parameter(job: JobSpec, satake: SatakeDatum, field: Field) -> Paramete
     try:
         for values, pairs in ((c, job.parameters), (s, job.s_parameters or [])):
             for key, literal in pairs:
+                if not key.strip().isdecimal():
+                    raise InputError(f"parameter node {key!r} is not a node number")
                 node = int(key) - 1
                 if node not in satake.I_circ:
                     raise InputError(f"parameter node {key} is not a white node")

@@ -20,12 +20,13 @@ substitution.  The kernel basis (`nullspace`, which finds spherical and
 dual lines on their torus supports), a Gram block's pivot columns, the
 quasi-K raising words (one degree at a time) and each degree block of the
 intertwiner, `solve` and `invert` all come from it: column j of the answer
-to A X = B is the relation of column n + j of [A | -B].  A modular
-evaluation screen (i sent to a square root of -1 mod p) first certifies
-full rank; it never decides equality.  Its evaluation (`_at_screen`,
-`screen_image`) and its one elimination (`modular_rank`) are separate, so
-the spherical-line candidates are screened on images evaluated once.  Over
-Q, `integer_kernel_basis` is the one kernel.
+to A X = B is the relation of column n + j of [A | -B].  Exact elimination
+alone decides them all.  The modular evaluation screen (i sent to a square
+root of -1 mod p) serves only the spherical-line candidate scan: its
+evaluation (`screen_image`, over `_at_screen`) and its one elimination
+(`modular_rank`) are separate, so candidates are screened on images
+evaluated once; it certifies full rank and never decides.  Over Q,
+`integer_kernel_basis` is the one kernel.
 """
 
 from __future__ import annotations
@@ -202,14 +203,9 @@ def column_relations(a: list, ncols: int, field: Field) -> dict:
     other dependent column.
 
     The other columns are the pivot columns in input order, the greedy basis
-    of the column space.  A modular evaluation first certifies full rank when
-    there are at least as many nonzero rows as columns.
+    of the column space, found by exact elimination alone.
     """
     rows, ring = _integer_rows(a)
-    if (len(rows) >= ncols
-            and modular_rank([[_at_screen(poly) for poly in row] for row in rows],
-                             ncols) == ncols):
-        return {}
     pivots = _echelonize(rows, ncols, ring)
     pivot_set = set(pivots)
     return {free: _kernel_vector(rows, pivots, free, ncols, field, ring)
@@ -226,8 +222,9 @@ def _echelonize(rows: list, ncols: int, ring) -> list:
 
     Pivots are the first nonzero entries in input order.  Each row below a
     pivot with a nonzero entry in its column is replaced by the cross
-    multiple pivot * row - entry * pivot_row and stripped of its content.
-    Returns the pivot column of each leading row.
+    multiple pivot * row - entry * pivot_row and stripped of its content,
+    except below the last column's pivot, which no pivot can follow (back
+    substitution reads only the pivot rows).  Returns the pivot columns.
     """
     pmul, padd, pneg = ring.pmul, ring.padd, ring.pneg
     pivots = []
@@ -239,7 +236,7 @@ def _echelonize(rows: list, ncols: int, ring) -> list:
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         pivot_val = prow[col]
-        for k in range(r + 1, len(rows)):
+        for k in range(r + 1, len(rows) if col + 1 < ncols else 0):
             row = rows[k]
             rk_col = row[col]
             if not rk_col:

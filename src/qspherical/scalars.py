@@ -986,7 +986,10 @@ class _Parser:
 
     def take(self, expect=None):
         tok = self.peek()
-        if tok is None or (expect is not None and tok != expect):
+        if tok is None:
+            raise ScalarParseError("unexpected end of literal"
+                                   + (f", expected {expect!r}" if expect else ""))
+        if expect is not None and tok != expect:
             raise ScalarParseError(f"expected {expect!r}, found {tok!r}")
         self.pos += 1
         return tok
@@ -1014,12 +1017,8 @@ class _Parser:
         return out
 
     def factor(self) -> FieldElem:
-        if self.peek() == "-":
-            self.take()
-            return -self.factor()
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
+        if self.peek() in ("-", "+"):
+            return -self.factor() if self.take() == "-" else self.factor()
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -1046,10 +1045,10 @@ class _Parser:
 
     def exponent_body(self) -> Fraction:
         tok = self.take()
+        if not tok[0].isdigit():
+            raise ScalarParseError(f"bad exponent {tok!r}")
         if "/" in tok:
             return Fraction(tok)
-        if not tok.isdigit():
-            raise ScalarParseError(f"bad exponent {tok!r}")
         num = int(tok)
         # a '/' not followed by digits divides the whole power: q^2/q
         if self.peek() == "/" and self.pos + 1 < len(self.toks) \
@@ -1080,7 +1079,7 @@ class _Parser:
             if root is None:
                 raise UnrepresentableScalar(f"sqrt({arg}) is not a representable monomial")
             return root
-        if tok.isdigit() or "/" in tok:
+        if tok[0].isdigit():
             return self.field.rational(Fraction(tok))
         raise ScalarParseError(f"unexpected token {tok!r}")
 

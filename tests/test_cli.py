@@ -407,6 +407,30 @@ def test_invariance_inverts_nothing(tmp_path, monkeypatch, config, c_args, weigh
     assert sizes == []
 
 
+def test_only_the_candidate_scan_screens(tmp_path, monkeypatch):
+    # the modular screen certifies spherical-line candidates away and serves
+    # nothing else: the exact kernel never calls it
+    import sys
+    callers = []
+    modular_rank = linalg.modular_rank
+
+    def spy(rows, ncols):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return modular_rank(rows, ncols)
+
+    monkeypatch.setattr(linalg, "modular_rank", spy)
+    out = str(tmp_path / "report.json")
+    assert main(["invariance", "--config", str(CONFIGS / "aiii_sl3.json"),
+                 "--c", "1=q^(1/2)", "--c", "2=q^(1/2)", "--weight", "2,1",
+                 "--out", out]) == EXIT_PASS
+    assert main(["characters", "--config", str(CONFIGS / "aiii3_sl4.json"),
+                 "--c", "1=1", "--c", "2=q^-1", "--c", "3=1", "--weight", "1,0,2",
+                 "--out", out]) == EXIT_PASS
+    assert callers
+    assert set(callers) == {("qspherical.characters", "_screened_out")}
+
+
 def test_closed_stdout_keeps_the_run_status():
     # `qspherical module ... | head -c 300`: the report (about 146 kB) is
     # larger than a pipe's buffer, so the run is still writing when the
@@ -437,6 +461,32 @@ def test_aii3_sweep_inverts_nothing(monkeypatch, tmp_path):
             "--weight", "0,1,0", "--weight", "0,2,0", "--out", str(tmp_path / "r.json")]
     assert main(argv) == EXIT_PASS
     assert sizes == []
+
+
+@pytest.mark.parametrize("item, problem", [
+    ("1=", "end of literal"),
+    ("1=q^", "end of literal"),
+    ("1=q+", "end of literal"),
+    ("1=2*", "end of literal"),
+    ("1=-", "end of literal"),
+    ("1=(q", "end of literal, expected ')'"),
+    ("1=/", "unexpected token '/'"),
+    ("x=1", "node 'x'"),
+], ids=["empty", "caret", "plus", "times", "minus", "open-paren", "slash", "node-x"])
+def test_literal_errors_name_the_problem(tmp_path, capsys, item, problem):
+    # a literal that ended early read "expected None, found None", a lone
+    # "/" read "Invalid literal for Fraction", and a node that is no number
+    # read "invalid literal for int()"
+    out = tmp_path / "report.json"
+    code = main(["characters", "--config", str(CONFIGS / "ai1.json"), "--c", item,
+                 "--weight", "2", "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    report = json.loads(out.read_text())
+    assert report["checks"] == []
+    assert report["error"]["code"] == "input"
+    assert problem in report["error"]["detail"]
+    assert "None" not in report["error"]["detail"]
+    assert "literal for" not in report["error"]["detail"]
 
 
 @pytest.mark.parametrize("argv,config", [

@@ -89,10 +89,17 @@ def _rref_kernel(a, ncols):
     return basis
 
 
+# the small shapes, and tall ones: one-column and full-rank tall systems
+# end with a pivot in the last column, below which nothing is eliminated
+SHAPES = pytest.mark.parametrize("shapes", [matrices(), matrices(max_rows=8, max_cols=3)],
+                                 ids=["small", "tall"])
+
+
+@SHAPES
 @settings(max_examples=40, deadline=None)
-@given(matrices())
-def test_nullspace_matches_rref_kernel(case):
-    a, ncols = case
+@given(data=st.data())
+def test_nullspace_matches_rref_kernel(shapes, data):
+    a, ncols = data.draw(shapes)
     ours = la.nullspace(a, ncols, F)
     theirs = _rref_kernel(a, ncols)
     assert len(ours) == len(theirs) == ncols - _dm(a, ncols).rank()
@@ -100,10 +107,11 @@ def test_nullspace_matches_rref_kernel(case):
         assert _same(x, y)
 
 
+@SHAPES
 @settings(max_examples=40, deadline=None)
-@given(matrices())
-def test_column_relations_match_rref_pivots(case):
-    a, ncols = case
+@given(data=st.data())
+def test_column_relations_match_rref_pivots(shapes, data):
+    a, ncols = data.draw(shapes)
     ours = la.column_relations(a, ncols, F)
     _, pivots = _dm(a, ncols).rref()
     assert sorted(ours) == [j for j in range(ncols) if j not in pivots]
@@ -172,16 +180,35 @@ def test_singular_inconsistent_and_underdetermined_cases():
     assert la.solve([[one], [q], [q * q]], [q, q * q, q ** 3]) == [q]
 
 
-def test_invert_skips_the_modular_screen(monkeypatch):
-    # [A | -I] has fewer rows than columns, so full column rank is impossible
-    # and the screen could only waste work
-    def fail(*args):
-        raise AssertionError("modular screen on a wide system")
+_SQUARE = [[F.one, F.q], [F.q * F.q, F.one]]
+_TALL = [[F.one, F.q], [F.q, F.one], [F.q * F.q, F.q], [F.zero, F.v]]
+_X = [F.one - F.q, F.v]
 
-    q = F.q
-    a = [[F.one, q], [F.zero, q * q]]
+
+@pytest.mark.parametrize("op, a, expected", [
+    ("invert", _SQUARE, None),
+    ("solve", _TALL, _X),
+    ("nullspace", _SQUARE, []),
+    ("nullspace", _TALL, []),
+    ("column_relations", _SQUARE, {}),
+    ("column_relations", _TALL, {}),
+], ids=["invert-square", "solve-tall", "nullspace-square", "nullspace-tall",
+        "column_relations-square", "column_relations-tall"])
+def test_exact_kernel_runs_no_modular_screen(monkeypatch, op, a, expected):
+    # elimination alone decides every exact question, also on full-rank
+    # square and tall systems, where a screen could only certify the empty
+    # answer that elimination finds anyway
+    def fail(*args):
+        raise AssertionError("modular screen in the exact kernel")
+
     monkeypatch.setattr(la, "modular_rank", fail)
-    assert la.mat_eq(la.mat_mul(a, la.invert(a)), la.identity(2, F))
+    monkeypatch.setattr(la, "_at_screen", fail)
+    if op == "invert":
+        assert la.mat_eq(la.mat_mul(a, la.invert(a)), la.identity(2, F))
+    elif op == "solve":
+        assert la.solve(a, la.mat_vec(a, expected)) == expected
+    else:
+        assert getattr(la, op)(a, 2, F) == expected
 
 
 def _at_screen_point(poly):
